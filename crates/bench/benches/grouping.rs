@@ -42,7 +42,8 @@ fn bench_algorithms(c: &mut Criterion) {
 }
 
 fn bench_epoch_granularity(c: &mut Criterion) {
-    // Figure 7.1c in bench form: runtime grows as epochs shrink.
+    // Figure 7.1c in bench form: 2-step runtime across epoch sizes. Step 2
+    // indexes run segments, not epochs, so finer epochs cost little more.
     let mut group = c.benchmark_group("grouping_epoch_granularity");
     group.sample_size(10);
     for epoch_ms in [1_000u64, 10_000, 90_000] {

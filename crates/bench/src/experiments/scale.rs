@@ -15,11 +15,13 @@
 //!    and compares output digests, extending the crate's byte-identity
 //!    contract to the scale sweep.
 //!
-//! The grouping step is capped at [`GROUPING_CAP`] tenants because the
-//! greedy Step-2 insertion is quadratic in the bucket size; the cap is
-//! recorded in the result context so the table cannot be misread as a
-//! million-tenant grouping benchmark. The replay covers the full tenant
-//! count at every point.
+//! The grouping step is capped at [`GROUPING_CAP`] tenants. Step 2
+//! evaluates a candidate in `O(levels)` from its incrementally kept
+//! concurrency profile, but every insertion evaluates every remaining
+//! candidate of the bucket, so its cost grows with the square of the
+//! bucket size. The cap is recorded in the result context so the table
+//! cannot be misread as a million-tenant grouping benchmark. The replay
+//! covers the full tenant count at every point.
 
 use crate::pipeline::Scale;
 use crate::report::{dur, num, ExperimentResult, Table};
@@ -92,7 +94,8 @@ pub fn synthetic_histories(seed: u64, tenants: usize) -> Vec<TenantHistory> {
 /// Builds a deployment plan directly (no grouping pass): per node-size
 /// class, chunks of `GROUP_SIZE` tenants share one single-MPPDB group of
 /// `n_1` nodes. Linear in `T`, which is what lets the replay reach a
-/// million tenants while the quadratic grouping stays capped.
+/// million tenants while the grouping, quadratic in the bucket size, stays
+/// capped.
 pub fn direct_plan(histories: &[TenantHistory]) -> DeploymentPlan {
     let mut groups = Vec::new();
     for &size in &NODE_SIZES {
@@ -175,8 +178,9 @@ pub fn run_point(seed: u64, tenants: usize, per_tenant: usize) -> PointRun {
         }
     }
 
-    // Grouping comparison on the capped subset (Step 2 is quadratic per
-    // bucket; the replay below still covers the full population).
+    // Grouping comparison on the capped subset (Step 2 evaluates every
+    // remaining candidate per insertion, so it is quadratic in the bucket
+    // size; the replay below still covers the full population).
     let cap = tenants.min(GROUPING_CAP);
     let epoch = EpochConfig::new(600_000, HORIZON_MS);
     let problem = histories[..cap]
@@ -322,7 +326,8 @@ pub fn scale(scale: Scale, seed: u64) -> ExperimentResult {
         context: format!(
             "synthetic single-burst day, sizes {NODE_SIZES:?}, direct plan \
              ({GROUP_SIZE}/group); grouping comparison capped at {GROUPING_CAP} \
-             tenants (Step 2 is quadratic per bucket), replay covers the full count"
+             tenants (Step 2 evaluates every remaining candidate per insertion), \
+             replay covers the full count"
         ),
         tables: vec![perf, identity],
         timings: Vec::new(),

@@ -7,15 +7,22 @@
 //! (`level_hist`), so that
 //!
 //! * adding a tenant costs `O(active epochs of the tenant)`,
-//! * evaluating a *candidate* tenant without committing costs the same and
-//!   allocates only a histogram copy (a vector of a few entries), and
 //! * the TTP ("total time percentage" with ≤ R active) is read off the
-//!   histogram in `O(levels)`.
+//!   histogram in `O(levels)`, and
+//! * the TTP a *candidate* tenant would leave, without committing it, costs
+//!   `O(active epochs of the candidate)` and allocates nothing
+//!   ([`ActiveCountHistogram::ttp_with`]).
 //!
-//! This incremental evaluation is what makes the 2-step heuristic practical:
-//! a dense recomputation would cost `O(d)` per candidate (26 million epochs
-//! at the finest setting of Figure 7.1). The `ttp_evaluation` group of the
-//! `grouping` bench quantifies the gap.
+//! FFD and the exact solver test one candidate against many open groups,
+//! so they evaluate through this type. The 2-step heuristic's Step 2
+//! compares every remaining candidate against one growing group instead
+//! and keeps per-candidate concurrency profiles for that (the `profiles`
+//! module); [`compare_level_hists`] is the order both read.
+//!
+//! Either way the evaluation is incremental: a dense recomputation would
+//! cost `O(d)` per candidate (26 million epochs at the finest setting of
+//! Figure 7.1). The `ttp_evaluation` group of the `grouping` bench
+//! quantifies the gap.
 
 use crate::activity::ActivityVector;
 
@@ -99,11 +106,11 @@ impl ActiveCountHistogram {
     }
 
     /// The level histogram that would result from adding `v`, without
-    /// committing. `O(active epochs of v)` plus one small allocation.
-    ///
-    /// # Panics
-    /// Panics if the vector's dimensionality differs from the group's.
-    pub fn level_hist_with(&self, v: &ActivityVector) -> Vec<u64> {
+    /// committing. `O(active epochs of v)` plus one small allocation; the
+    /// reference that [`Self::ttp_with`] and the Step-2 profiles are tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn level_hist_with(&self, v: &ActivityVector) -> Vec<u64> {
         assert_eq!(v.d(), self.d(), "activity dimensionality mismatch");
         let mut hist = self.level_hist.clone();
         for &(s, e) in v.runs() {
@@ -145,12 +152,28 @@ impl ActiveCountHistogram {
     }
 
     /// The TTP that would result from adding `v`, without committing.
+    /// Adding `v` lifts exactly its epochs at count `r` over the line, so
+    /// this is `O(active epochs of v)` with no allocation.
+    ///
+    /// # Panics
+    /// Panics if `d > 0` and the vector's dimensionality differs from the
+    /// group's.
     pub fn ttp_with(&self, v: &ActivityVector, r: u32) -> f64 {
         if self.counts.is_empty() {
             return 1.0;
         }
-        let hist = self.level_hist_with(v);
-        let above: u64 = hist.iter().skip(r as usize + 1).sum();
+        assert_eq!(v.d(), self.d(), "activity dimensionality mismatch");
+        let lifted: usize = v
+            .runs()
+            .iter()
+            .map(|&(s, e)| {
+                self.counts[s as usize..e as usize]
+                    .iter()
+                    .filter(|&&c| u32::from(c) == r)
+                    .count()
+            })
+            .sum();
+        let above = self.epochs_above(r) + lifted as u64;
         1.0 - above as f64 / self.counts.len() as f64
     }
 
@@ -246,6 +269,40 @@ mod tests {
             assert_eq!(get(&predicted, i), get(&committed, i), "level {i}");
         }
         assert!((predicted_ttp - h.ttp(2)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ttp_with_matches_commit_then_ttp() {
+        // Seeded random groups and candidates: the allocation-free
+        // prediction must equal, bit for bit, the TTP after committing.
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x77_u64);
+        for case in 0..200 {
+            let d = rng.gen_range(1..40u32);
+            let vector = |rng: &mut SmallRng| {
+                let density = rng.gen_range(0.0..1.0);
+                av(
+                    &(0..d).filter(|_| rng.gen_bool(density)).collect::<Vec<_>>(),
+                    d,
+                )
+            };
+            let mut h = ActiveCountHistogram::new(d);
+            for _ in 0..rng.gen_range(0..6usize) {
+                h.add(&vector(&mut rng));
+            }
+            let candidate = vector(&mut rng);
+            for r in 0..6 {
+                let predicted = h.ttp_with(&candidate, r);
+                let mut committed = h.clone();
+                committed.add(&candidate);
+                assert_eq!(
+                    predicted.to_bits(),
+                    committed.ttp(r).to_bits(),
+                    "case {case}, r = {r}"
+                );
+            }
+        }
+        assert_eq!(ActiveCountHistogram::new(0).ttp_with(&av(&[], 0), 1), 1.0);
     }
 
     #[test]

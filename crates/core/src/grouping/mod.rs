@@ -9,11 +9,14 @@
 //!   paper).
 //! * [`histogram`] — the incremental concurrent-activity accounting that
 //!   makes candidate evaluation `O(active epochs)` instead of `O(d)`.
+//! * `profiles` — the per-candidate concurrency profiles that make a
+//!   Step-2 candidate evaluation `O(levels)`.
 
 pub mod exact;
 pub mod ffd;
 pub mod histogram;
 pub mod livbpwfc;
+mod profiles;
 pub mod two_step;
 
 pub use exact::{exact_grouping, MAX_EXACT_TENANTS};

@@ -1,8 +1,9 @@
 //! Controller experiment — fixed-period vs feedback re-consolidation
 //! across the adversarial scenario library.
 //!
-//! Every scenario of `thrifty_workload::scenarios` is replayed twice on
-//! the same day-one deployment: once with the historical fixed-period
+//! Every scenario of `thrifty_workload::scenarios` but drift is replayed
+//! twice on the same day-one deployment, through the shared
+//! [`super::arm`] driver: once with the historical fixed-period
 //! [`Reconsolidator`] and once with the Tempo-style feedback controller
 //! (adaptive period and observation window, build cap, move hysteresis).
 //! The arms are compared on SLA attainment, powered-node cost, and churn
@@ -11,9 +12,8 @@
 //! feedback controller must match the fixed arm's SLA with measurably
 //! fewer tenant moves.
 
+use super::arm::{advisor_config, day_one_plan, run_arm, ArmRun};
 use crate::report::{num, pct, ExperimentResult, Table};
-use mppdb_sim::query::QueryTemplate;
-use mppdb_sim::time::SimTime;
 use thrifty::prelude::*;
 use thrifty_workload::prelude::*;
 
@@ -25,8 +25,10 @@ const CYCLE_MS: u64 = 2 * 3_600_000;
 /// The service's monitoring window (the fixed arm's lookback and the
 /// ceiling of the feedback arm's adaptive window).
 const WINDOW_MS: u64 = 8 * 3_600_000;
-/// Replication factor of the day-one design and all cycle plans.
-const REPLICATION: u32 = 2;
+/// Pool size as a multiple of the day-one design: enough free nodes to
+/// double-run a full rebuild next to the serving deployment, with slack
+/// for thrash-shaped regroupings.
+const HEADROOM: usize = 3;
 /// Workload generation seed.
 const SEED: u64 = 42;
 
@@ -51,160 +53,40 @@ pub fn feedback_config() -> ControllerConfig {
     }
 }
 
-fn advisor_config(horizon_ms: u64) -> AdvisorConfig {
-    AdvisorConfig {
-        replication: REPLICATION,
-        sla_p: 0.999,
-        epoch: EpochConfig::new(10_000, horizon_ms),
-        algorithm: GroupingAlgorithm::TwoStep,
-        exclusion: ExclusionPolicy::default(),
-    }
+/// The swept kinds: every kind but drift, which the drift experiment
+/// replays against a static arm.
+fn kinds() -> impl Iterator<Item = ScenarioKind> {
+    ScenarioKind::ALL
+        .into_iter()
+        .filter(|&k| k != ScenarioKind::Drift)
 }
 
-/// The day-one deployment plan: the advisor run over the scenario's
-/// steady-belief histories.
-pub fn day_one_plan(scenario: &AdversarialScenario) -> DeploymentPlan {
-    let histories: Vec<TenantHistory> = scenario
-        .tenants
-        .iter()
-        .map(|s| {
-            let (_, iv) = scenario
-                .design_histories
-                .iter()
-                .find(|(id, _)| *id == s.id)
-                .expect("every tenant has a design history");
-            TenantHistory::new(Tenant::new(s.id, s.nodes, s.data_gb), iv.clone())
-        })
-        .collect();
-    let advisor = DeploymentAdvisor::new(advisor_config(scenario.config.horizon_ms));
-    advisor.advise(&histories).plan
-}
-
-/// Outcome of one (scenario, controller) arm.
-pub struct ControllerRun {
-    /// The service report (SLA records + telemetry).
-    pub report: ServiceReport,
-    /// `(log ms, powered nodes)` samples over the horizon.
-    pub nodes: Vec<(u64, usize)>,
-    /// Re-consolidation cycles completed.
-    pub cycles: u64,
-    /// Tenants moved by cutovers (the churn metric).
-    pub moves: u64,
-    /// The driver's per-cause skip counters.
-    pub skips: SkipCounts,
-    /// Due-instant evaluations the driver performed.
-    pub evaluations: u64,
-    /// The (possibly adapted) period at the end of the run.
-    pub final_interval_ms: u64,
-}
-
-impl ControllerRun {
-    /// SLA attainment over the whole run.
-    pub fn attainment(&self) -> f64 {
-        let total = self.report.records.len();
-        if total == 0 {
-            return 1.0;
-        }
-        self.report.records.iter().filter(|r| r.met).count() as f64 / total as f64
-    }
-
-    /// Mean powered nodes across all samples.
-    pub fn mean_nodes(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        self.nodes.iter().map(|&(_, n)| n).sum::<usize>() as f64 / self.nodes.len() as f64
-    }
-}
-
-/// Replays one scenario on one controller arm.
-pub fn run_arm(
+/// Replays `scenario` on `plan` under the fixed-period controller, or
+/// the feedback controller when `feedback`.
+pub fn controller_arm(
     scenario: &AdversarialScenario,
     plan: &DeploymentPlan,
     feedback: bool,
-) -> ControllerRun {
-    let cfg = &scenario.config;
-    // Headroom: enough free nodes to double-run a full rebuild next to
-    // the serving deployment, with slack for thrash-shaped regroupings.
-    let total_nodes = plan.nodes_used() as usize * 3;
-    let template = QueryTemplate::new(SCENARIO_TEMPLATE, cfg.query_coef, 0.0);
-    let service_cfg = ServiceConfig::builder()
-        .sla_p(0.999)
-        .elastic_scaling(false)
-        .monitor_window_ms(WINDOW_MS)
-        .telemetry(TelemetryConfig::default().with_event_capacity(5_000))
-        .build()
-        .expect("valid service config");
-    let mut service = ThriftyService::deploy(plan, total_nodes, [template], service_cfg)
-        .expect("deployable day-one design");
-    let mut recon = if feedback {
+) -> ArmRun {
+    let recon = if feedback {
         Reconsolidator::with_controller(advisor_config(WINDOW_MS), feedback_config())
     } else {
         Reconsolidator::new(advisor_config(WINDOW_MS), CYCLE_MS)
     };
-
-    let mut nodes = Vec::new();
-    let mut next_sample = 0u64;
-    let mut drive_to = |service: &mut ThriftyService,
-                        recon: &mut Reconsolidator,
-                        nodes: &mut Vec<(u64, usize)>,
-                        target_ms: u64| {
-        while next_sample <= target_ms {
-            service
-                .advance_log_time(SimTime::from_ms(next_sample))
-                .expect("advance to sample");
-            recon.maybe_cycle(service).expect("cycle check");
-            nodes.push((next_sample, service.cluster().powered_nodes()));
-            next_sample += SAMPLE_MS;
-        }
-    };
-    for q in &scenario.queries {
-        drive_to(&mut service, &mut recon, &mut nodes, q.submit.as_ms());
-        service
-            .submit(IncomingQuery {
-                tenant: q.tenant,
-                submit: q.submit,
-                template: q.template,
-                baseline: q.baseline,
-            })
-            .expect("query submits");
-    }
-    drive_to(&mut service, &mut recon, &mut nodes, cfg.horizon_ms);
-    service.drain().expect("final drain");
-    nodes.push((cfg.horizon_ms, service.cluster().powered_nodes()));
-    let cycles = service.reconsolidation_cycles();
-    let report = service.report();
-    let moves = report
-        .telemetry
-        .counters
-        .get("reconsolidation.tenants_moved")
-        .copied()
-        .unwrap_or(0);
-    ControllerRun {
-        report,
-        nodes,
-        cycles,
-        moves,
-        skips: recon.skip_counts(),
-        evaluations: recon.evaluations(),
-        final_interval_ms: recon.interval_ms(),
-    }
+    run_arm(scenario, plan, SAMPLE_MS, WINDOW_MS, HEADROOM, Some(recon))
 }
 
-/// Replays one scenario kind on both arms.
-pub fn run_scenario(kind: ScenarioKind, feedback: bool) -> ControllerRun {
+/// Replays one scenario kind on one arm.
+pub fn run_scenario(kind: ScenarioKind, feedback: bool) -> ArmRun {
     let scenario = AdversarialScenario::generate(&ScenarioConfig::small(kind, SEED));
     let plan = day_one_plan(&scenario);
-    run_arm(&scenario, &plan, feedback)
+    controller_arm(&scenario, &plan, feedback)
 }
 
 /// Runs the controller experiment end to end: every scenario kind, both
 /// arms, in parallel.
 pub fn controller() -> ExperimentResult {
-    let arms: Vec<(ScenarioKind, bool)> = ScenarioKind::ALL
-        .iter()
-        .flat_map(|&k| [(k, false), (k, true)])
-        .collect();
+    let arms: Vec<(ScenarioKind, bool)> = kinds().flat_map(|k| [(k, false), (k, true)]).collect();
     let runs = crate::parallel::par_map("controller:arms", &arms, |&(kind, feedback)| {
         run_scenario(kind, feedback)
     });
@@ -237,32 +119,33 @@ pub fn controller() -> ExperimentResult {
         ],
     );
     let mut telemetry = None;
-    for (i, kind) in ScenarioKind::ALL.iter().enumerate() {
+    for (i, kind) in kinds().enumerate() {
         let fixed = &runs[2 * i];
         let fb = &runs[2 * i + 1];
+        let fb_recon = fb.recon.as_ref().expect("the feedback arm has a driver");
         summary.push_row(vec![
             kind.name().into(),
             pct(fixed.attainment()),
             pct(fb.attainment()),
-            num(fixed.mean_nodes(), 1),
-            num(fb.mean_nodes(), 1),
-            fixed.moves.to_string(),
-            fb.moves.to_string(),
+            num(fixed.mean_nodes(0, u64::MAX), 1),
+            num(fb.mean_nodes(0, u64::MAX), 1),
+            fixed.moves().to_string(),
+            fb.moves().to_string(),
             fixed.cycles.to_string(),
             fb.cycles.to_string(),
         ]);
-        let planned = fb.evaluations - fb.skips.total();
+        let skips = fb_recon.skip_counts();
         attribution.push_row(vec![
             kind.name().into(),
-            fb.evaluations.to_string(),
-            planned.to_string(),
-            fb.skips.busy.to_string(),
-            fb.skips.noop.to_string(),
-            fb.skips.insufficient_nodes.to_string(),
-            fb.skips.deferred.to_string(),
-            num(fb.final_interval_ms as f64 / 60_000.0, 0),
+            fb_recon.evaluations().to_string(),
+            (fb_recon.evaluations() - skips.total()).to_string(),
+            skips.busy.to_string(),
+            skips.noop.to_string(),
+            skips.insufficient_nodes.to_string(),
+            skips.deferred.to_string(),
+            num(fb_recon.interval_ms() as f64 / 60_000.0, 0),
         ]);
-        if *kind == ScenarioKind::PlannerThrash {
+        if kind == ScenarioKind::PlannerThrash {
             telemetry = Some(fb.report.telemetry.clone());
         }
     }
@@ -273,7 +156,7 @@ pub fn controller() -> ExperimentResult {
             "{} scenarios × 2 arms; fixed cycle {}h, feedback period in \
              [0.5h, {}h] with 2-cycle hysteresis and a {}-build cap; churn \
              = tenants moved by cutovers",
-            ScenarioKind::ALL.len(),
+            kinds().count(),
             CYCLE_MS / 3_600_000,
             WINDOW_MS / 3_600_000,
             feedback_config().max_builds_per_cycle,
@@ -297,14 +180,14 @@ mod tests {
         let fixed = run_scenario(ScenarioKind::PlannerThrash, false);
         let fb = run_scenario(ScenarioKind::PlannerThrash, true);
         assert!(
-            fixed.moves > 0,
+            fixed.moves() > 0,
             "the thrash scenario must actually churn the fixed arm"
         );
         assert!(
-            fb.moves * 2 <= fixed.moves,
+            fb.moves() * 2 <= fixed.moves(),
             "feedback churn must be measurably lower: {} vs {}",
-            fb.moves,
-            fixed.moves
+            fb.moves(),
+            fixed.moves()
         );
         assert!(
             fb.attainment() >= fixed.attainment(),
@@ -320,10 +203,7 @@ mod tests {
         // controller must settle: after an initial alignment phase (N =
         // 4 evaluations) no tenant moves again, and the period backs off
         // from its initial value.
-        let scenario =
-            AdversarialScenario::generate(&ScenarioConfig::small(ScenarioKind::Steady, SEED));
-        let plan = day_one_plan(&scenario);
-        let run = run_arm(&scenario, &plan, true);
+        let run = run_scenario(ScenarioKind::Steady, true);
         let settle_ms = 4 * CYCLE_MS;
         let late_moves: u64 = run
             .report
@@ -342,7 +222,9 @@ mod tests {
             "a stable workload must converge to zero moves"
         );
         assert!(
-            run.final_interval_ms > CYCLE_MS,
+            run.recon
+                .as_ref()
+                .is_some_and(|r| r.interval_ms() > CYCLE_MS),
             "no-op cycles must lengthen the period toward its ceiling"
         );
     }
@@ -353,7 +235,7 @@ mod tests {
             let scenario = AdversarialScenario::generate(&ScenarioConfig::small(kind, SEED));
             let plan = day_one_plan(&scenario);
             for feedback in [false, true] {
-                let run = run_arm(&scenario, &plan, feedback);
+                let run = controller_arm(&scenario, &plan, feedback);
                 assert_eq!(
                     run.report.records.len(),
                     scenario.queries.len(),

@@ -1,17 +1,16 @@
 //! Drift experiment — static day-one design vs periodic re-consolidation
 //! under activity drift and tenant churn (Chapter 5.1).
 //!
-//! The drift-and-churn scenario (`thrifty_workload::drift`) deploys a
-//! day-one design estimated from phase-1 activity, then shifts the
-//! activity pattern mid-horizon while a third of the population departs
-//! and a couple of new tenants arrive. The same log is replayed twice —
-//! once on the frozen day-one deployment, once with a periodic
-//! [`Reconsolidator`] — and the two arms are compared on the powered-node
-//! footprint over time and on SLA attainment.
+//! The drift scenario ([`ScenarioKind::Drift`]) deploys a day-one design
+//! estimated from phase-1 activity, then shifts the activity pattern
+//! mid-horizon while a third of the population departs and a couple of
+//! new tenants arrive. The same log is replayed twice — once on the
+//! frozen day-one deployment, once with a periodic [`Reconsolidator`] —
+//! and the two arms are compared on the powered-node footprint over time
+//! and on SLA attainment.
 
+use super::arm::{advisor_config, day_one_plan, run_arm, ArmRun};
 use crate::report::{num, pct, ExperimentResult, Table};
-use mppdb_sim::query::QueryTemplate;
-use mppdb_sim::time::SimTime;
 use thrifty::prelude::*;
 use thrifty_workload::prelude::*;
 
@@ -22,183 +21,45 @@ const CYCLE_MS: u64 = 2 * 3_600_000;
 /// RT-TTP / activity observation window — shorter than the horizon so a
 /// post-shift cycle plans from post-shift behaviour.
 const WINDOW_MS: u64 = 4 * 3_600_000;
-/// Replication factor of both the day-one design and the cycle plans.
-const REPLICATION: u32 = 2;
+/// Pool size as a multiple of the day-one design: enough free nodes to
+/// double-run the largest plausible rebuild next to it.
+const HEADROOM: usize = 2;
 
-/// Outcome of one arm of the comparison.
-pub struct DriftRun {
-    /// The service report (SLA records + telemetry).
-    pub report: ServiceReport,
-    /// `(log ms, powered nodes)` samples over the horizon.
-    pub nodes: Vec<(u64, usize)>,
-    /// Re-consolidation cycles completed (0 in the static arm).
-    pub cycles: u64,
+/// The drift scenario every arm replays.
+fn scenario() -> AdversarialScenario {
+    AdversarialScenario::generate(&ScenarioConfig::small(ScenarioKind::Drift, 42))
 }
 
-impl DriftRun {
-    /// Mean powered nodes over samples in `[from_ms, to_ms)`.
-    pub fn mean_nodes(&self, from_ms: u64, to_ms: u64) -> f64 {
-        let window: Vec<usize> = self
-            .nodes
-            .iter()
-            .filter(|(t, _)| (from_ms..to_ms).contains(t))
-            .map(|&(_, n)| n)
-            .collect();
-        if window.is_empty() {
-            return 0.0;
-        }
-        window.iter().sum::<usize>() as f64 / window.len() as f64
-    }
-
-    /// Powered nodes at the last sample.
-    pub fn final_nodes(&self) -> usize {
-        self.nodes.last().map_or(0, |&(_, n)| n)
-    }
-}
-
-/// The day-one deployment plan: the advisor run over the scenario's
-/// *estimated* (phase-1-shaped) histories.
-pub fn day_one_plan(scenario: &DriftScenario) -> DeploymentPlan {
-    let histories: Vec<TenantHistory> = scenario
-        .initial
-        .iter()
-        .map(|s| {
-            let (_, iv) = scenario
-                .design_histories
-                .iter()
-                .find(|(id, _)| *id == s.id)
-                .expect("every initial tenant has a design history");
-            TenantHistory::new(Tenant::new(s.id, s.nodes, s.data_gb), iv.clone())
-        })
-        .collect();
-    let advisor = DeploymentAdvisor::new(advisor_config(scenario.config.horizon_ms));
-    advisor.advise(&histories).plan
-}
-
-fn advisor_config(horizon_ms: u64) -> AdvisorConfig {
-    AdvisorConfig {
-        replication: REPLICATION,
-        sla_p: 0.999,
-        epoch: EpochConfig::new(10_000, horizon_ms),
-        algorithm: GroupingAlgorithm::TwoStep,
-        exclusion: ExclusionPolicy::default(),
-    }
-}
-
-/// Replays the scenario on one service arm. `periodic` enables the
-/// re-consolidation driver; the static arm replays the identical log
-/// (including churn) on the frozen day-one deployment.
-pub fn run_arm(scenario: &DriftScenario, plan: &DeploymentPlan, periodic: bool) -> DriftRun {
-    let cfg = &scenario.config;
-    // Headroom: enough free nodes to double-run the largest plausible
-    // rebuild next to the day-one deployment.
-    let total_nodes = plan.nodes_used() as usize * 2;
-    let template = QueryTemplate::new(DRIFT_TEMPLATE, cfg.query_coef, 0.0);
-    let service_cfg = ServiceConfig::builder()
-        .sla_p(0.999)
-        .elastic_scaling(false)
-        .monitor_window_ms(WINDOW_MS)
-        .telemetry(TelemetryConfig::default().with_event_capacity(5_000))
-        .build()
-        .expect("valid service config");
-    let mut service = ThriftyService::deploy(plan, total_nodes, [template], service_cfg)
-        .expect("deployable day-one design");
-    let mut recon = periodic.then(|| Reconsolidator::new(advisor_config(WINDOW_MS), CYCLE_MS));
-
-    // Merge queries and churn into one chronological driver stream;
-    // deregistrations precede registrations at equal instants so freed
-    // capacity is visible to the newcomers.
-    enum Ev {
-        Churn(ChurnEvent),
-        Query(DriftQuery),
-    }
-    let mut events: Vec<(u64, u8, Ev)> = Vec::new();
-    for c in &scenario.churn {
-        let rank = match c {
-            ChurnEvent::Deregister { .. } => 0,
-            ChurnEvent::Register { .. } => 1,
-        };
-        events.push((c.at().as_ms(), rank, Ev::Churn(*c)));
-    }
-    for q in &scenario.queries {
-        events.push((q.submit.as_ms(), 2, Ev::Query(*q)));
-    }
-    events.sort_by_key(|&(t, rank, _)| (t, rank));
-
-    let mut nodes = Vec::new();
-    let mut next_sample = 0u64;
-    let mut drive_to = |service: &mut ThriftyService,
-                        recon: &mut Option<Reconsolidator>,
-                        nodes: &mut Vec<(u64, usize)>,
-                        target_ms: u64| {
-        while next_sample <= target_ms {
-            service
-                .advance_log_time(SimTime::from_ms(next_sample))
-                .expect("advance to sample");
-            if let Some(r) = recon.as_mut() {
-                r.maybe_cycle(service).expect("cycle check");
-            }
-            nodes.push((next_sample, service.cluster().powered_nodes()));
-            next_sample += SAMPLE_MS;
-        }
-    };
-    for (at_ms, _, ev) in events {
-        drive_to(&mut service, &mut recon, &mut nodes, at_ms);
-        match ev {
-            Ev::Churn(ChurnEvent::Register { spec, .. }) => {
-                service
-                    .register_tenant(Tenant::new(spec.id, spec.nodes, spec.data_gb))
-                    .expect("registration");
-            }
-            Ev::Churn(ChurnEvent::Deregister { tenant, .. }) => {
-                service.deregister_tenant(tenant).expect("deregistration");
-            }
-            Ev::Query(q) => {
-                service
-                    .submit(IncomingQuery {
-                        tenant: q.tenant,
-                        submit: q.submit,
-                        template: q.template,
-                        baseline: q.baseline,
-                    })
-                    .expect("query submits");
-            }
-        }
-    }
-    drive_to(&mut service, &mut recon, &mut nodes, cfg.horizon_ms);
-    service.drain().expect("final drain");
-    // One last cycle check at the drained horizon, then settle whatever it
-    // started so the final footprint reflects the re-consolidated state.
-    if let Some(r) = recon.as_mut() {
-        r.maybe_cycle(&mut service).expect("final cycle check");
-        service.drain().expect("post-cycle drain");
-    }
-    nodes.push((cfg.horizon_ms, service.cluster().powered_nodes()));
-    let cycles = service.reconsolidation_cycles();
-    DriftRun {
-        report: service.report(),
-        nodes,
-        cycles,
-    }
+/// Replays `scenario` on `plan`, with a periodic re-consolidation driver
+/// when `periodic`; the static arm replays the identical log (including
+/// churn) on the frozen day-one deployment.
+pub fn drift_arm(scenario: &AdversarialScenario, plan: &DeploymentPlan, periodic: bool) -> ArmRun {
+    let recon = periodic.then(|| Reconsolidator::new(advisor_config(WINDOW_MS), CYCLE_MS));
+    run_arm(scenario, plan, SAMPLE_MS, WINDOW_MS, HEADROOM, recon)
 }
 
 /// Runs the drift experiment end to end.
 pub fn drift() -> ExperimentResult {
-    let scenario = DriftScenario::generate(&DriftConfig::small(42));
+    let scenario = scenario();
     let plan = day_one_plan(&scenario);
     let (static_run, periodic_run) = crate::parallel::par_join2(
         "drift:replay",
-        || run_arm(&scenario, &plan, false),
-        || run_arm(&scenario, &plan, true),
+        || drift_arm(&scenario, &plan, false),
+        || drift_arm(&scenario, &plan, true),
     );
     let cfg = &scenario.config;
-    let shift = cfg.shift_at_ms;
+    let shift = scenario.churn[0].at().as_ms();
+    let departures = scenario
+        .churn
+        .iter()
+        .filter(|c| matches!(c, ChurnEvent::Deregister { .. }))
+        .count();
 
     let mut trajectory = Table::new(
         "Powered-node footprint over the horizon (drift + churn at the shift)",
         &["hour", "static", "periodic recon"],
     );
-    let sample = |run: &DriftRun, ms: u64| {
+    let sample = |run: &ArmRun, ms: u64| {
         run.nodes
             .iter()
             .rfind(|&&(t, _)| t <= ms)
@@ -215,14 +76,7 @@ pub fn drift() -> ExperimentResult {
         h += 2;
     }
 
-    let post = |run: &DriftRun| run.mean_nodes(shift + 2 * CYCLE_MS, cfg.horizon_ms + 1);
-    let attainment = |run: &DriftRun| {
-        let total = run.report.records.len();
-        if total == 0 {
-            return 1.0;
-        }
-        run.report.records.iter().filter(|r| r.met).count() as f64 / total as f64
-    };
+    let post = |run: &ArmRun| run.mean_nodes(shift + 2 * CYCLE_MS, cfg.horizon_ms + 1);
     let mut summary = Table::new(
         "Static day-one design vs periodic re-consolidation",
         &["metric", "static", "periodic recon"],
@@ -239,8 +93,8 @@ pub fn drift() -> ExperimentResult {
     ]);
     summary.push_row(vec![
         "SLA attainment".into(),
-        pct(attainment(&static_run)),
-        pct(attainment(&periodic_run)),
+        pct(static_run.attainment()),
+        pct(periodic_run.attainment()),
     ]);
     summary.push_row(vec![
         "queries completed".into(),
@@ -262,8 +116,8 @@ pub fn drift() -> ExperimentResult {
             cfg.node_size,
             cfg.gb_per_node * f64::from(cfg.node_size),
             shift / 3_600_000,
-            cfg.departures,
-            cfg.arrivals,
+            departures,
+            scenario.churn.len() - departures,
             plan.nodes_used(),
             CYCLE_MS / 3_600_000,
         ),
@@ -277,11 +131,11 @@ pub fn drift() -> ExperimentResult {
 mod tests {
     use super::*;
 
-    fn runs() -> (DriftScenario, DriftRun, DriftRun) {
-        let scenario = DriftScenario::generate(&DriftConfig::small(42));
+    fn runs() -> (AdversarialScenario, ArmRun, ArmRun) {
+        let scenario = scenario();
         let plan = day_one_plan(&scenario);
-        let s = run_arm(&scenario, &plan, false);
-        let p = run_arm(&scenario, &plan, true);
+        let s = drift_arm(&scenario, &plan, false);
+        let p = drift_arm(&scenario, &plan, true);
         (scenario, s, p)
     }
 
@@ -296,7 +150,7 @@ mod tests {
             periodic_run.final_nodes(),
             static_run.final_nodes()
         );
-        let from = scenario.config.shift_at_ms + 2 * CYCLE_MS;
+        let from = scenario.churn[0].at().as_ms() + 2 * CYCLE_MS;
         let to = scenario.config.horizon_ms + 1;
         assert!(
             periodic_run.mean_nodes(from, to) < static_run.mean_nodes(from, to),
@@ -324,17 +178,13 @@ mod tests {
     #[test]
     fn sla_attainment_does_not_collapse() {
         let (_, static_run, periodic_run) = runs();
-        let attainment = |r: &DriftRun| {
-            r.report.records.iter().filter(|x| x.met).count() as f64
-                / r.report.records.len().max(1) as f64
-        };
         // Re-consolidating must not trade the node savings for a broken
         // SLA: attainment stays within a point of the static arm.
         assert!(
-            attainment(&periodic_run) >= attainment(&static_run) - 0.01,
+            periodic_run.attainment() >= static_run.attainment() - 0.01,
             "recon {} vs static {}",
-            attainment(&periodic_run),
-            attainment(&static_run)
+            periodic_run.attainment(),
+            static_run.attainment()
         );
     }
 }

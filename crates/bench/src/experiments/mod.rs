@@ -2,6 +2,7 @@
 //! the experiment index.
 
 pub mod ablate;
+pub mod arm;
 pub mod controller;
 pub mod drift;
 pub mod fig1_1;

@@ -26,6 +26,7 @@
 use crate::pipeline::Scale;
 use crate::report::{dur, num, ExperimentResult, Table};
 use crate::sharded::two_step_grouping_sharded;
+use mppdb_sim::hash::{splitmix64, Fnv1a, GOLDEN_GAMMA};
 use mppdb_sim::prelude::{isolated_latency_ms, QueryTemplate, SimDuration, SimTime, TemplateId};
 use std::time::{Duration, Instant};
 use thrifty::prelude::*;
@@ -43,38 +44,6 @@ const NODE_SIZES: [u32; 4] = [1, 2, 4, 8];
 /// Template id used by every synthetic query.
 const SCALE_TEMPLATE: TemplateId = TemplateId(9_000);
 
-/// SplitMix64 finalizer — the per-tenant seeded hash behind burst phases.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a accumulator for the cross-thread-count output digests.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Synthesizes `tenants` histories: node sizes cycling `NODE_SIZES`,
 /// one `BURST_MS` busy burst whose phase is a seeded hash of the index.
 /// Runs through [`crate::parallel::par_map`], so it is itself part of the
@@ -83,7 +52,7 @@ pub fn synthetic_histories(seed: u64, tenants: usize) -> Vec<TenantHistory> {
     let idx: Vec<u64> = (0..tenants as u64).collect();
     crate::parallel::par_map("scale:gen", &idx, |&i| {
         let nodes = NODE_SIZES[(i % NODE_SIZES.len() as u64) as usize];
-        let start = mix(seed ^ i) % (HORIZON_MS - BURST_MS);
+        let start = splitmix64((seed ^ i).wrapping_add(GOLDEN_GAMMA)) % (HORIZON_MS - BURST_MS);
         TenantHistory::new(
             Tenant::new(TenantId(i as u32), nodes, 100.0 * f64::from(nodes)),
             vec![(start, start + BURST_MS)],
@@ -168,7 +137,7 @@ pub fn run_point(seed: u64, tenants: usize, per_tenant: usize) -> PointRun {
     let histories = synthetic_histories(seed, tenants);
     let gen = t0.elapsed();
 
-    let mut digest = Digest::new();
+    let mut digest = Fnv1a::new();
     for h in &histories {
         digest.u64(u64::from(h.tenant.id.0));
         digest.u64(u64::from(h.tenant.nodes));

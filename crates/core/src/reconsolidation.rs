@@ -69,6 +69,7 @@ use crate::service::ThriftyService;
 use crate::sla::SlaSummary;
 use crate::tenant::{Tenant, TenantId};
 use mppdb_sim::error::SimError;
+use mppdb_sim::hash::Fnv1a;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One replacement tenant-group a cycle will build: the members to load,
@@ -786,19 +787,13 @@ impl Reconsolidator {
 fn placement_signature(b: &PlannedGroup) -> u64 {
     let mut ids: Vec<u32> = b.members.iter().map(|m| m.id.0).collect();
     ids.sort_unstable();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for id in ids {
-        mix(u64::from(id));
+        h.u64(u64::from(id));
     }
-    mix(u64::from(b.replication));
-    mix(u64::from(b.node_size));
-    h
+    h.u64(u64::from(b.replication));
+    h.u64(u64::from(b.node_size));
+    h.finish()
 }
 
 /// One connected component of the rebuild graph.

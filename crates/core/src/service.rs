@@ -717,7 +717,9 @@ impl ThriftyService {
     }
 
     /// Advances the service (and the underlying simulation) to a log-time
-    /// instant, delivering completions and scaling events on the way.
+    /// instant, delivering every event up to it in one
+    /// [`Cluster::run_until`] sweep — the same batching [`Self::submit`]
+    /// gets between consecutive submits.
     ///
     /// Together with [`Self::drain`] and [`Self::run_until_quiescent_at`]
     /// this is the whole time-advancement surface: drivers never need to
@@ -736,62 +738,26 @@ impl ThriftyService {
         &self.records
     }
 
-    /// The instant one batched [`Cluster::run_until`] call may jump to, or
-    /// `None` when events must be delivered one instant at a time.
-    ///
-    /// Batching is byte-identical to per-instant stepping exactly when no
-    /// handler reads the simulation clock between instants: completions
-    /// and node failures are stamped with their own event times, but trace
-    /// sampling, elastic scaling, re-consolidation cutovers, and
-    /// retiring-group sweeps all act on "now" and so force the slow path.
-    /// The fast path is what makes a 100k-tenant replay tail drain in one
-    /// heap sweep instead of hundreds of thousands of `run_until` calls.
-    fn batched_drain_target(&self) -> Option<SimTime> {
-        if self.config.trace.is_some()
-            || self.config.elastic_scaling
-            || self.recon.is_some()
-            || !self.retiring.is_empty()
-            || self.cluster.has_pending_lifecycle_events()
-        {
-            return None;
-        }
-        self.cluster.latest_pending_event_time()
-    }
-
     /// Processes all outstanding simulator work (lets every running query
-    /// finish). Internally drains in batched [`Cluster::run_until`] jumps
-    /// whenever no clock-reading handler (tracing, elastic scaling,
-    /// re-consolidation, retiring groups) is armed, falling back to
-    /// per-instant delivery — byte-identical output either way.
+    /// finish), delivering events one instant at a time so trace sampling,
+    /// elastic scaling, cutovers and retiring-group sweeps all see the
+    /// instant they act on.
     ///
     /// # Errors
     ///
     /// Propagates [`ThriftyError::Internal`] (or a simulator error) if the
     /// delivered events violate the service's bookkeeping invariants.
     pub fn drain(&mut self) -> ThriftyResult<()> {
-        loop {
-            if let Some(target) = self.batched_drain_target() {
-                self.advance_to(target)?;
-                // Processed events may schedule past the old target
-                // (completion checks re-arm); loop until quiescent.
-                continue;
-            }
-            match self.cluster.peek_next_event_time() {
-                Some(t) => self.advance_to(t)?,
-                None => return Ok(()),
-            }
+        while let Some(t) = self.cluster.peek_next_event_time() {
+            self.advance_to(t)?;
         }
+        Ok(())
     }
 
     /// Advances to the log-time instant `log_time` and then lets every
     /// query already in flight finish: [`Self::advance_log_time`] followed
-    /// by a batched [`Self::drain`]. On return the simulation clock is at
-    /// least `log_time` and the event heap is empty.
-    ///
-    /// This replaces the hand-rolled
-    /// `while let Some(t) = peek_next_event_time() { advance... }` loops
-    /// drivers used to write — see `crates/bench/src/fuzz.rs` and the
-    /// examples.
+    /// by [`Self::drain`]. On return the simulation clock is at least
+    /// `log_time` and the event heap is empty.
     ///
     /// # Errors
     ///

@@ -535,28 +535,6 @@ impl Cluster {
         self.heap.peek().map(|Reverse(p)| p.at)
     }
 
-    /// The instant of the *last* pending internal event, if any — the
-    /// target a batched drain can jump to in one [`run_until`] call.
-    ///
-    /// [`run_until`]: Cluster::run_until
-    pub fn latest_pending_event_time(&self) -> Option<SimTime> {
-        self.heap.iter().map(|Reverse(p)| p.at).max()
-    }
-
-    /// Whether any lifecycle event — an MPPDB instance coming online or a
-    /// tenant bulk-load finishing — is still pending. Callers that react
-    /// to these per instant (the service's scale-out activation and
-    /// re-consolidation cutover paths) must step event by event while this
-    /// holds; pure completion traffic can be drained in one batch.
-    pub fn has_pending_lifecycle_events(&self) -> bool {
-        self.heap.iter().any(|Reverse(p)| {
-            matches!(
-                p.kind,
-                PendingKind::InstanceReady(_) | PendingKind::TenantLoaded { .. }
-            )
-        })
-    }
-
     /// Advances simulated time to `until`, processing every internal event
     /// scheduled at or before it, and returns the observable events in
     /// chronological order.

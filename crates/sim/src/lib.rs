@@ -48,6 +48,7 @@ pub mod convert;
 pub mod cost;
 pub mod error;
 pub mod failure;
+pub mod hash;
 pub mod instance;
 pub mod loading;
 pub mod metrics;

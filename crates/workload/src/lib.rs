@@ -19,6 +19,10 @@
 //! The §7.4 "higher active tenant ratio" variants are configuration switches
 //! ([`config::ActivityScenario`]).
 //!
+//! The re-consolidation workloads — Chapter 5.1's drift and churn and the
+//! adversarial shapes a self-tuning controller must survive — are one
+//! generator, [`scenarios`], one [`scenarios::ScenarioKind`] per shape.
+//!
 //! ```
 //! use thrifty_workload::prelude::*;
 //!
@@ -38,7 +42,6 @@
 pub mod activity;
 pub mod composition;
 pub mod config;
-pub mod drift;
 pub mod library;
 pub mod log;
 pub mod persist;
@@ -57,12 +60,12 @@ pub mod prelude {
     };
     pub use crate::composition::Composer;
     pub use crate::config::{ActivityScenario, GenerationConfig};
-    pub use crate::drift::{ChurnEvent, DriftConfig, DriftQuery, DriftScenario, DRIFT_TEMPLATE};
     pub use crate::library::SessionLibrary;
     pub use crate::log::{LoggedQuery, MultiTenantLog, QueryEvent, SessionLog, TenantLog};
     pub use crate::persist::SavedCorpus;
     pub use crate::scenarios::{
-        AdversarialScenario, ScenarioConfig, ScenarioKind, ScenarioQuery, SCENARIO_TEMPLATE,
+        AdversarialScenario, ChurnEvent, ScenarioConfig, ScenarioKind, ScenarioQuery,
+        SCENARIO_TEMPLATE,
     };
     pub use crate::templates::{
         catalog, template_name, tpch_q1, tpch_q19, Benchmark, NamedTemplate,

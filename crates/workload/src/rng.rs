@@ -5,6 +5,7 @@
 //! reproducible bit-for-bit and (b) regenerating one tenant's log does not
 //! require regenerating the others (each tenant gets an independent stream).
 
+use mppdb_sim::hash::{splitmix64, GOLDEN_GAMMA};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -13,14 +14,9 @@ use rand::SeedableRng;
 /// Uses SplitMix64-style mixing to decorrelate nearby stream indices before
 /// seeding the per-stream generator.
 pub fn stream_rng(seed: u64, stream: u64, substream: u64) -> SmallRng {
-    let mut x = seed
-        ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ substream.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    // SplitMix64 finalizer.
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    SmallRng::seed_from_u64(x)
+    let x =
+        seed ^ stream.wrapping_mul(GOLDEN_GAMMA) ^ substream.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    SmallRng::seed_from_u64(splitmix64(x))
 }
 
 #[cfg(test)]

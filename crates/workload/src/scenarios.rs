@@ -22,10 +22,16 @@
 //!   pairings at the planner's observation boundary, so every fixed-
 //!   cadence window proposes a different grouping. A controller without
 //!   hysteresis ping-pongs tenants forever.
+//! * **Drift** — the consolidation rot of Chapter 5.1. At the shift the
+//!   stride triples, so activity that overlapped turns near-disjoint and
+//!   far fewer nodes suffice, while a third of the population departs
+//!   and a sixth as many new tenants arrive (parked on a tuning MPPDB
+//!   until the next cycle). Only re-consolidation realizes the savings.
+//!   This is the one kind with [`ChurnEvent`]s.
 //!
 //! Generation is a pure function of [`ScenarioConfig`] (via
 //! [`stream_rng`]); the bench crate replays each scenario once per
-//! controller arm and compares SLA, cost, and churn.
+//! re-consolidation arm and compares SLA, cost, and churn.
 
 use crate::rng::stream_rng;
 use crate::templates::Benchmark;
@@ -53,17 +59,20 @@ pub enum ScenarioKind {
     BlackFriday,
     /// Pair-concurrency alternates at the observation boundary.
     PlannerThrash,
+    /// The stride triples mid-horizon while the population churns.
+    Drift,
 }
 
 impl ScenarioKind {
     /// Every kind, in presentation order.
-    pub const ALL: [ScenarioKind; 6] = [
+    pub const ALL: [ScenarioKind; 7] = [
         ScenarioKind::Steady,
         ScenarioKind::FlashCrowd,
         ScenarioKind::Seasonal,
         ScenarioKind::CorrelatedActivation,
         ScenarioKind::BlackFriday,
         ScenarioKind::PlannerThrash,
+        ScenarioKind::Drift,
     ];
 
     /// Stable identifier (report rows, CLI).
@@ -75,6 +84,7 @@ impl ScenarioKind {
             ScenarioKind::CorrelatedActivation => "correlated",
             ScenarioKind::BlackFriday => "black-friday",
             ScenarioKind::PlannerThrash => "thrash",
+            ScenarioKind::Drift => "drift",
         }
     }
 }
@@ -109,22 +119,54 @@ pub struct ScenarioConfig {
 impl ScenarioConfig {
     /// A compact configuration: 16 two-node tenants on 30-minute slots
     /// over a horizon long enough for every kind's signature phase (two
-    /// compressed weeks for the seasonal shape).
+    /// compressed weeks for the seasonal shape). Drift runs 12 tenants on
+    /// a stride of 2 for 16 h, so its shift lands at 6 h and its
+    /// post-shift cycles settle well inside the horizon.
     pub fn small(kind: ScenarioKind, seed: u64) -> Self {
+        let (tenants, stride, hours) = match kind {
+            ScenarioKind::Seasonal => (16, 4, 48),
+            ScenarioKind::Drift => (12, 2, 16),
+            _ => (16, 4, 24),
+        };
         ScenarioConfig {
             seed,
             kind,
-            tenants: 16,
+            tenants,
             node_size: 2,
             gb_per_node: 10.0,
             slot_ms: 30 * 60_000,
-            stride: 4,
-            horizon_ms: match kind {
-                ScenarioKind::Seasonal => 48 * 3_600_000,
-                _ => 24 * 3_600_000,
-            },
+            stride,
+            horizon_ms: hours * 3_600_000,
             query_coef: 12_000.0,
             jitter_ms: 20_000,
+        }
+    }
+}
+
+/// One churn action on the live service, on the log timeline.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub enum ChurnEvent {
+    /// A tenant joins the service (to be parked until the next cycle).
+    Register {
+        /// When the registration arrives.
+        at: SimTime,
+        /// The new tenant.
+        spec: TenantSpec,
+    },
+    /// A tenant leaves the service.
+    Deregister {
+        /// When the deregistration arrives.
+        at: SimTime,
+        /// The departing tenant.
+        tenant: SimTenantId,
+    },
+}
+
+impl ChurnEvent {
+    /// The instant the event takes effect.
+    pub fn at(&self) -> SimTime {
+        match self {
+            ChurnEvent::Register { at, .. } | ChurnEvent::Deregister { at, .. } => *at,
         }
     }
 }
@@ -147,7 +189,8 @@ pub struct ScenarioQuery {
 pub struct AdversarialScenario {
     /// The configuration it was generated from.
     pub config: ScenarioConfig,
-    /// The tenant population.
+    /// The initial tenant population (ids `0..tenants`); drift arrivals
+    /// join through [`Self::churn`].
     pub tenants: Vec<TenantSpec>,
     /// The day-one activity estimate per tenant — the steady home-slot
     /// shape extended over the whole horizon, what the provider designs
@@ -156,6 +199,10 @@ pub struct AdversarialScenario {
     pub design_histories: Vec<(SimTenantId, Vec<(u64, u64)>)>,
     /// All query submissions, ordered by (submit, tenant).
     pub queries: Vec<ScenarioQuery>,
+    /// Churn events, ordered by time, deregistrations first at ties so
+    /// the freed capacity is visible to the registrations. Empty for
+    /// every kind but [`ScenarioKind::Drift`].
+    pub churn: Vec<ChurnEvent>,
 }
 
 impl AdversarialScenario {
@@ -167,15 +214,14 @@ impl AdversarialScenario {
         let slots = config.horizon_ms / slot;
         let baseline_ms = (config.query_coef * config.gb_per_node).max(1.0) as u64;
 
-        let tenants: Vec<TenantSpec> = (0..n)
-            .map(|id| TenantSpec {
-                id: SimTenantId(id),
-                nodes: config.node_size,
-                data_gb: config.gb_per_node * f64::from(config.node_size),
-                benchmark: Benchmark::TpcH,
-                offset_hours: 0,
-            })
-            .collect();
+        let spec = |id: u32| TenantSpec {
+            id: SimTenantId(id),
+            nodes: config.node_size,
+            data_gb: config.gb_per_node * f64::from(config.node_size),
+            benchmark: Benchmark::TpcH,
+            offset_hours: 0,
+        };
+        let tenants: Vec<TenantSpec> = (0..n).map(spec).collect();
 
         // Day-one belief: home slot of every stride cycle, whole horizon.
         let mut design_histories = Vec::with_capacity(tenants.len());
@@ -203,6 +249,15 @@ impl AdversarialScenario {
         // first two are daytime); a "week" is seven days, the last two
         // the weekend.
         let day_slots = u64::from(stride) * 3;
+        // Drift: the day-one stride holds until the shift at 3/8 of the
+        // horizon, then triples. The lowest third of the ids depart at the
+        // shift and a sixth as many fresh ids arrive, submitting after a
+        // two-slot settle that covers their bulk load.
+        let drift = kind == ScenarioKind::Drift;
+        let shift = slots * 3 / 8;
+        let wide = u64::from(stride) * 3;
+        let (departures, arrivals) = if drift { (n / 3, n / 6) } else { (0, 0) };
+        let settle = 2;
         let queries_in_slot = |i: u32, s: u64| -> u32 {
             let home = u64::from(i % stride) == s % u64::from(stride);
             match kind {
@@ -245,21 +300,36 @@ impl AdversarialScenario {
                     };
                     u32::from(u64::from(pair % stride) == s % u64::from(stride))
                 }
+                ScenarioKind::Drift => {
+                    if s < shift {
+                        u32::from(i < n && home)
+                    } else {
+                        let present = i >= departures && (i < n || s >= shift + settle);
+                        u32::from(present && u64::from(i) % wide == s % wide)
+                    }
+                }
             }
         };
 
         let mut queries = Vec::new();
-        for t in &tenants {
-            let mut rng = stream_rng(config.seed, u64::from(t.id.0), 1);
+        for id in 0..n + arrivals {
+            let mut home_rng = stream_rng(config.seed, u64::from(id), 1);
+            // Post-shift drift slots draw from their own substream.
+            let mut shifted_rng = stream_rng(config.seed, u64::from(id), 2);
             for s in 0..slots {
-                for _ in 0..queries_in_slot(t.id.0, s) {
+                let rng = if drift && s >= shift {
+                    &mut shifted_rng
+                } else {
+                    &mut home_rng
+                };
+                for _ in 0..queries_in_slot(id, s) {
                     let jitter = if config.jitter_ms == 0 {
                         0
                     } else {
                         rng.gen_range(0..config.jitter_ms)
                     };
                     queries.push(ScenarioQuery {
-                        tenant: t.id,
+                        tenant: SimTenantId(id),
                         submit: SimTime::from_ms(s * slot + jitter),
                         template: SCENARIO_TEMPLATE,
                         baseline: SimDuration::from_ms(baseline_ms),
@@ -269,11 +339,21 @@ impl AdversarialScenario {
         }
         queries.sort_by_key(|q| (q.submit, q.tenant));
 
+        let at = SimTime::from_ms(shift * slot);
+        let churn = (0..departures)
+            .map(|id| ChurnEvent::Deregister {
+                at,
+                tenant: SimTenantId(id),
+            })
+            .chain((n..n + arrivals).map(|id| ChurnEvent::Register { at, spec: spec(id) }))
+            .collect();
+
         AdversarialScenario {
             config: *config,
             tenants,
             design_histories,
             queries,
+            churn,
         }
     }
 
@@ -311,6 +391,7 @@ mod tests {
             let b = gen(kind);
             assert_eq!(a.queries, b.queries, "{}", kind.name());
             assert_eq!(a.design_histories, b.design_histories);
+            assert_eq!(a.churn, b.churn);
         }
     }
 
@@ -328,6 +409,7 @@ mod tests {
                 .queries
                 .iter()
                 .all(|q| q.submit.as_ms() < s.config.horizon_ms + s.config.jitter_ms));
+            assert_eq!(s.churn.is_empty(), kind != ScenarioKind::Drift);
         }
     }
 
@@ -425,5 +507,71 @@ mod tests {
         assert!(odd_pairs.contains(&(1, 2)));
         assert!(!even_pairs.contains(&(1, 2)));
         assert!(!odd_pairs.contains(&(0, 1)));
+    }
+
+    /// The drift shift instant and the departed / arrived tenant ids.
+    fn drift_churn(s: &AdversarialScenario) -> (u64, BTreeSet<u32>, BTreeSet<u32>) {
+        let (mut departed, mut arrived) = (BTreeSet::new(), BTreeSet::new());
+        for ev in &s.churn {
+            match ev {
+                ChurnEvent::Deregister { tenant, .. } => departed.insert(tenant.0),
+                ChurnEvent::Register { spec, .. } => arrived.insert(spec.id.0),
+            };
+        }
+        (s.churn[0].at().as_ms(), departed, arrived)
+    }
+
+    #[test]
+    fn phase_one_overlaps_and_phase_two_spreads() {
+        let s = gen(ScenarioKind::Drift);
+        let shift_slot = drift_churn(&s).0 / s.config.slot_ms;
+        let m = per_slot(&s);
+        let peak = |phase_two: bool| {
+            m.iter()
+                .filter(|(&slot, _)| (slot >= shift_slot) == phase_two)
+                .map(|(_, t)| t.len())
+                .max()
+                .unwrap_or(0)
+        };
+        assert!(peak(false) > 0 && peak(true) > 0);
+        assert!(
+            peak(false) > peak(true),
+            "drift must reduce concurrency: {} -> {}",
+            peak(false),
+            peak(true)
+        );
+    }
+
+    #[test]
+    fn departed_tenants_stop_submitting() {
+        let s = gen(ScenarioKind::Drift);
+        let (shift, departed, _) = drift_churn(&s);
+        assert!(!departed.is_empty());
+        assert!(s
+            .queries
+            .iter()
+            .filter(|q| departed.contains(&q.tenant.0))
+            .all(|q| q.submit.as_ms() < shift));
+    }
+
+    #[test]
+    fn arrivals_wait_for_the_settle_window() {
+        let s = gen(ScenarioKind::Drift);
+        let (shift, departed, arrived) = drift_churn(&s);
+        let first_new = s
+            .queries
+            .iter()
+            .filter(|q| arrived.contains(&q.tenant.0))
+            .map(|q| q.submit.as_ms())
+            .min();
+        assert!(first_new.is_some_and(|first| first >= shift + 2 * s.config.slot_ms));
+        assert_eq!(
+            s.churn.len(),
+            (s.config.tenants / 3 + s.config.tenants / 6) as usize
+        );
+        // The population alive at the horizon: survivors plus arrivals.
+        let alive = s.tenants.len() - departed.len() + arrived.len();
+        assert_eq!(alive, 10);
+        assert!(arrived.iter().all(|&t| t >= s.config.tenants));
     }
 }

@@ -3,8 +3,16 @@
 //! makes every experiment in EXPERIMENTS.md a statement rather than a
 //! sample.
 
+use mppdb_sim::hash::{splitmix64, Fnv1a, GOLDEN_GAMMA};
 use thrifty::prelude::*;
 use thrifty_workload::prelude::*;
+
+/// FNV-1a digest of a serialized result, for pinning it across changes.
+fn fnv1a(s: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    h.bytes(s.as_bytes());
+    h.finish()
+}
 
 fn build_and_replay(seed: u64) -> (u64, usize, Vec<(u64, u64, bool)>) {
     let mut cfg = GenerationConfig::small(seed, 50);
@@ -265,6 +273,11 @@ fn reconsolidation_cycle_is_byte_identical_across_thread_counts() {
         serial.contains("\"groups.cutover\""),
         "the compared run must exercise live cutovers"
     );
+    assert_eq!(
+        fnv1a(&serial),
+        0x7b17_897c_a8e1_16e3,
+        "the drift result must stay byte-identical to the pinned output"
+    );
 }
 
 /// The controller experiment drives every adversarial scenario through
@@ -297,6 +310,11 @@ fn controller_experiment_is_byte_identical_across_thread_counts() {
     assert!(
         serial.contains("thrash"),
         "the compared run must include the planner-thrashing scenario"
+    );
+    assert_eq!(
+        fnv1a(&serial),
+        0x45f2_2024_65ea_0532,
+        "the controller result must stay byte-identical to the pinned output"
     );
 }
 
@@ -354,11 +372,8 @@ fn sharded_grouping_matches_serial_on_random_problems() {
     // SplitMix64: the same deterministic generator the scale sweep uses.
     let mut state = 0x5EED_u64;
     let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = state;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        state = state.wrapping_add(GOLDEN_GAMMA);
+        splitmix64(state)
     };
     for case in 0..8u32 {
         const D: u32 = 48;

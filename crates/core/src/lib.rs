@@ -117,8 +117,7 @@ pub mod prelude {
     };
     pub use crate::sla::{SlaPolicy, SlaRecord, SlaSummary};
     pub use crate::telemetry::{
-        InstanceUtilization, Registry, Telemetry, TelemetryConfig, TelemetryEvent,
-        TelemetrySnapshot,
+        InstanceUtilization, Telemetry, TelemetryConfig, TelemetryEvent, TelemetrySnapshot,
     };
     pub use crate::tenant::{Tenant, TenantHistory, TenantId};
     pub use crate::tuning::recommend_tuning_nodes;

@@ -67,6 +67,7 @@ use crate::advisor::{AdvisorConfig, DeploymentAdvisor};
 use crate::error::ThriftyResult;
 use crate::service::ThriftyService;
 use crate::sla::SlaSummary;
+use crate::telemetry::Counter;
 use crate::tenant::{Tenant, TenantId};
 use mppdb_sim::error::SimError;
 use mppdb_sim::hash::Fnv1a;
@@ -731,7 +732,7 @@ impl Reconsolidator {
         self.advance_due(now_ms);
         if service.reconsolidation_active() || service.has_pending_registrations() {
             self.skips.busy += 1;
-            service.note_controller("controller.skipped_busy", 1);
+            service.note_controller(Counter::ControllerSkippedBusy, 1);
             return Ok(false);
         }
         let error = self.measure_error(service);
@@ -740,19 +741,19 @@ impl Reconsolidator {
         let bounded = self.bound_plan(service, full);
         if bounded.deferred_moves > 0 {
             self.moves_deferred += bounded.deferred_moves;
-            service.note_controller("controller.moves_deferred", bounded.deferred_moves);
+            service.note_controller(Counter::ControllerMovesDeferred, bounded.deferred_moves);
         }
         if bounded.capped_builds > 0 {
             self.builds_capped += bounded.capped_builds;
-            service.note_controller("controller.builds_capped", bounded.capped_builds);
+            service.note_controller(Counter::ControllerBuildsCapped, bounded.capped_builds);
         }
         match self.adapt(error, was_noop) {
             -1 => {
-                service.note_controller("controller.adapt_shrink", 1);
+                service.note_controller(Counter::ControllerAdaptShrink, 1);
                 service.note_controller_adapted(self.interval_ms, self.window_ms, error);
             }
             1 => {
-                service.note_controller("controller.adapt_grow", 1);
+                service.note_controller(Counter::ControllerAdaptGrow, 1);
                 service.note_controller_adapted(self.interval_ms, self.window_ms, error);
             }
             _ => {}
@@ -760,10 +761,10 @@ impl Reconsolidator {
         if bounded.plan.is_noop() {
             if was_noop {
                 self.skips.noop += 1;
-                service.note_controller("controller.skipped_noop", 1);
+                service.note_controller(Counter::ControllerSkippedNoop, 1);
             } else {
                 self.skips.deferred += 1;
-                service.note_controller("controller.skipped_deferred", 1);
+                service.note_controller(Counter::ControllerSkippedDeferred, 1);
             }
             return Ok(false);
         }
@@ -774,7 +775,7 @@ impl Reconsolidator {
             }
             Err(crate::error::ThriftyError::Sim(SimError::InsufficientNodes { .. })) => {
                 self.skips.insufficient_nodes += 1;
-                service.note_controller("controller.skipped_nodes", 1);
+                service.note_controller(Counter::ControllerSkippedNodes, 1);
                 Ok(false)
             }
             Err(e) => Err(e),

@@ -18,7 +18,7 @@ use crate::reconsolidation::CyclePlan;
 use crate::routing::{QueryRouter, Route, RouteKind};
 use crate::scaling::{identify_over_active, ScalingEvent};
 use crate::sla::{SlaPolicy, SlaRecord, SlaSummary};
-use crate::telemetry::{InstanceUtilization, Telemetry, TelemetryConfig, TelemetryEvent};
+use crate::telemetry::{Counter, InstanceUtilization, Telemetry, TelemetryConfig, TelemetryEvent};
 use crate::tenant::{Tenant, TenantHistory, TenantId};
 use mppdb_sim::cluster::{Cluster, ClusterConfig, QueryCompletion, SimEvent};
 use mppdb_sim::error::SimError;
@@ -476,70 +476,8 @@ impl ThriftyService {
             });
         }
         let next_trace_ms = offset_ms;
-        let mut telemetry = Telemetry::new(config.telemetry);
-        if telemetry.is_enabled() {
-            // Pre-register the counter taxonomy at zero so every snapshot
-            // carries the full set of names, touched or not.
-            for name in [
-                "queries.submitted",
-                "queries.completed",
-                "queries.cancelled",
-                "queries.migrated",
-                "route.sticky",
-                "route.tuning_free",
-                "route.other_free",
-                "route.overflow",
-                "sla.met",
-                "sla.violated",
-                "scaling.triggered",
-                "scaling.activated",
-                "tenants.migrated",
-                "nodes.failed",
-                "nodes.replaced",
-                "nodes.replacement_deferred",
-                "nodes.replacement_retried",
-                "instances.provisioned",
-                "instances.decommissioned",
-                "tenants.registered",
-                "tenants.deregistered",
-                "bulk_loads.started",
-                "bulk_loads.finished",
-                "reconsolidation.started",
-                "reconsolidation.completed",
-                "reconsolidation.tenants_moved",
-                "groups.cutover",
-                "controller.skipped_busy",
-                "controller.skipped_noop",
-                "controller.skipped_nodes",
-                "controller.skipped_deferred",
-                "controller.adapt_shrink",
-                "controller.adapt_grow",
-                "controller.moves_deferred",
-                "controller.builds_capped",
-                "config.reloads",
-                "config.knobs_applied",
-                "config.knobs_rejected",
-            ] {
-                telemetry.incr_by(name, 0);
-            }
-            // The initial deployment counts as provisioning at log time 0.
-            for group in &groups {
-                for &instance in &group.instances {
-                    let nodes = cluster
-                        .instance(instance)
-                        .map(|i| i.nodes().len())
-                        .unwrap_or(0);
-                    telemetry.incr("instances.provisioned");
-                    telemetry.record(TelemetryEvent::InstanceProvisioned {
-                        at_ms: 0,
-                        instance,
-                        nodes,
-                    });
-                }
-            }
-            telemetry.set_gauge("groups", groups.len() as i64);
-        }
-        Ok(ThriftyService {
+        let telemetry = Telemetry::new(config.telemetry);
+        let mut service = ThriftyService {
             cluster,
             config,
             templates: templates.into_iter().map(|t| (t.id, t)).collect(),
@@ -561,7 +499,18 @@ impl ThriftyService {
             deferred_regs: Vec::new(),
             cycles_completed: 0,
             retiring: Vec::new(),
-        })
+        };
+        // The initial deployment counts as provisioning at log time 0.
+        let instances: Vec<InstanceId> = service
+            .groups
+            .iter()
+            .flat_map(|g| g.instances.iter().copied())
+            .collect();
+        for instance in instances {
+            service.record_provisioned(instance, 0);
+        }
+        service.telemetry.set_groups(service.groups.len());
+        Ok(service)
     }
 
     /// Supplies the per-tenant historical activity ratios (fraction of time
@@ -895,19 +844,12 @@ impl ThriftyService {
         self.config.scaling_epoch_ms = candidate.scaling_epoch_ms;
         self.config.scaling_check_interval_ms = candidate.scaling_check_interval_ms;
 
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(self.cluster.now().as_ms());
-            self.telemetry.incr("config.reloads");
-            self.telemetry
-                .incr_by("config.knobs_applied", delta.applied.len() as u64);
-            self.telemetry
-                .incr_by("config.knobs_rejected", delta.rejected.len() as u64);
-            self.telemetry.record(TelemetryEvent::ConfigReloaded {
-                at_ms,
-                applied: delta.applied.len(),
-                rejected: delta.rejected.len(),
-            });
-        }
+        let at_ms = self.log_ms(self.cluster.now().as_ms());
+        self.telemetry.record(TelemetryEvent::ConfigReloaded {
+            at_ms,
+            applied: delta.applied.len(),
+            rejected: delta.rejected.len(),
+        });
         Ok(delta)
     }
 
@@ -977,13 +919,36 @@ impl ThriftyService {
         abs_ms.saturating_sub(self.offset_ms)
     }
 
-    fn route_counter(kind: RouteKind) -> &'static str {
-        match kind {
-            RouteKind::Sticky => "route.sticky",
-            RouteKind::TuningFree => "route.tuning_free",
-            RouteKind::OtherFree => "route.other_free",
-            RouteKind::Overflow => "route.overflow",
+    /// Records a freshly provisioned instance at log instant `at_ms`.
+    fn record_provisioned(&mut self, instance: InstanceId, at_ms: u64) {
+        if self.telemetry.is_enabled() {
+            let nodes = self
+                .cluster
+                .instance(instance)
+                .map(|i| i.nodes().len())
+                .unwrap_or(0);
+            self.telemetry.record(TelemetryEvent::InstanceProvisioned {
+                at_ms,
+                instance,
+                nodes,
+            });
         }
+    }
+
+    /// Whether `instance` hosts `tenant`'s data (an unknown instance hosts
+    /// nothing).
+    fn hosts(&self, instance: InstanceId, tenant: TenantId) -> bool {
+        self.cluster
+            .instance(instance)
+            .is_ok_and(|i| i.hosts(tenant))
+    }
+
+    /// Drops `tenant`'s data from `instance` if the instance hosts it.
+    fn drop_if_hosted(&mut self, instance: InstanceId, tenant: TenantId) -> ThriftyResult<()> {
+        if self.hosts(instance, tenant) {
+            self.cluster.drop_tenant(instance, tenant)?;
+        }
+        Ok(())
     }
 
     fn advance_to(&mut self, t: SimTime) -> ThriftyResult<()> {
@@ -999,50 +964,38 @@ impl ThriftyService {
                 SimEvent::NodeFailed { node, instance, at } => {
                     // The MPPDB stays online at reduced parallelism
                     // (Chapter 4.4); record the event for the operators.
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.incr("nodes.failed");
-                        let at_ms = self.log_ms(at.as_ms());
-                        self.telemetry.record(TelemetryEvent::NodeFailed {
-                            at_ms,
-                            node,
-                            instance,
-                        });
-                    }
+                    let at_ms = self.log_ms(at.as_ms());
+                    self.telemetry.record(TelemetryEvent::NodeFailed {
+                        at_ms,
+                        node,
+                        instance,
+                    });
                 }
                 SimEvent::NodeReplaced { instance, node, at } => {
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.incr("nodes.replaced");
-                        let at_ms = self.log_ms(at.as_ms());
-                        self.telemetry.record(TelemetryEvent::NodeReplaced {
-                            at_ms,
-                            instance,
-                            node,
-                        });
-                    }
+                    let at_ms = self.log_ms(at.as_ms());
+                    self.telemetry.record(TelemetryEvent::NodeReplaced {
+                        at_ms,
+                        instance,
+                        node,
+                    });
                 }
                 SimEvent::ReplacementDeferred { instance, node, at } => {
                     // No spare was available; the instance runs degraded
                     // until the pool refills and the retry fires.
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.incr("nodes.replacement_deferred");
-                        let at_ms = self.log_ms(at.as_ms());
-                        self.telemetry.record(TelemetryEvent::ReplacementDeferred {
-                            at_ms,
-                            instance,
-                            node,
-                        });
-                    }
+                    let at_ms = self.log_ms(at.as_ms());
+                    self.telemetry.record(TelemetryEvent::ReplacementDeferred {
+                        at_ms,
+                        instance,
+                        node,
+                    });
                 }
                 SimEvent::ReplacementRetried { instance, node, at } => {
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.incr("nodes.replacement_retried");
-                        let at_ms = self.log_ms(at.as_ms());
-                        self.telemetry.record(TelemetryEvent::ReplacementRetried {
-                            at_ms,
-                            instance,
-                            node,
-                        });
-                    }
+                    let at_ms = self.log_ms(at.as_ms());
+                    self.telemetry.record(TelemetryEvent::ReplacementRetried {
+                        at_ms,
+                        instance,
+                        node,
+                    });
                 }
                 SimEvent::TenantLoaded {
                     instance,
@@ -1108,25 +1061,21 @@ impl ThriftyService {
         group.monitor.on_query_start(q.tenant, at.as_ms());
         self.meter.on_query_start(q.tenant, at.as_ms());
         let monitor_generation = group.monitor_generation;
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(at.as_ms());
-            self.telemetry.incr("queries.submitted");
-            self.telemetry.incr(Self::route_counter(route.kind));
-            self.telemetry.record(TelemetryEvent::QuerySubmitted {
-                at_ms,
-                query: qid,
-                tenant: q.tenant,
-                group: gi,
-            });
-            self.telemetry.record(TelemetryEvent::QueryRouted {
-                at_ms,
-                query: qid,
-                tenant: q.tenant,
-                group: gi,
-                mppdb: route.mppdb,
-                kind: route.kind,
-            });
-        }
+        let at_ms = self.log_ms(at.as_ms());
+        self.telemetry.record(TelemetryEvent::QuerySubmitted {
+            at_ms,
+            query: qid,
+            tenant: q.tenant,
+            group: gi,
+        });
+        self.telemetry.record(TelemetryEvent::QueryRouted {
+            at_ms,
+            query: qid,
+            tenant: q.tenant,
+            group: gi,
+            mppdb: route.mppdb,
+            kind: route.kind,
+        });
         self.inflight.insert(
             qid,
             Inflight {
@@ -1170,28 +1119,19 @@ impl ThriftyService {
             info.route,
             &self.config.sla_policy,
         );
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("queries.completed");
-            self.telemetry.incr(if record.met {
-                "sla.met"
-            } else {
-                "sla.violated"
-            });
-            self.telemetry.observe("query.latency_ms", achieved.as_ms());
-            // Normalized performance vs the dedicated baseline, in percent
-            // (100 = exactly the dedicated latency).
-            self.telemetry
-                .observe("query.slowdown_pct", (record.normalized * 100.0) as u64);
-            self.telemetry.record(TelemetryEvent::QueryCompleted {
-                at_ms,
-                query: c.query,
-                tenant: info.tenant,
-                group: info.group,
-                latency_ms: achieved.as_ms(),
-                met: record.met,
-            });
-        }
+        // Slowdown is normalized performance vs the dedicated baseline, in
+        // percent (100 = exactly the dedicated latency).
+        self.telemetry
+            .observe_query(achieved.as_ms(), (record.normalized * 100.0) as u64);
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.record(TelemetryEvent::QueryCompleted {
+            at_ms,
+            query: c.query,
+            tenant: info.tenant,
+            group: info.group,
+            latency_ms: achieved.as_ms(),
+            met: record.met,
+        });
         self.records.push(record);
         self.maybe_scale(info.group, now_ms)
     }
@@ -1257,26 +1197,13 @@ impl ThriftyService {
             // surface it instead of panicking.
             Err(e) => return Err(ThriftyError::Sim(e)),
         };
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            let nodes = self
-                .cluster
-                .instance(instance)
-                .map(|i| i.nodes().len())
-                .unwrap_or(0);
-            self.telemetry.incr("scaling.triggered");
-            self.telemetry.incr("instances.provisioned");
-            self.telemetry.record(TelemetryEvent::ScalingTriggered {
-                at_ms,
-                group: gi,
-                tenants: over_active.len(),
-            });
-            self.telemetry.record(TelemetryEvent::InstanceProvisioned {
-                at_ms,
-                instance,
-                nodes,
-            });
-        }
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.record(TelemetryEvent::ScalingTriggered {
+            at_ms,
+            group: gi,
+            tenants: over_active.len(),
+        });
+        self.record_provisioned(instance, at_ms);
         let event_idx = self.scaling_events.len();
         self.scaling_events.push(ScalingEvent {
             group: gi,
@@ -1348,27 +1275,21 @@ impl ThriftyService {
         for t in &moved {
             self.tenant_group.insert(t.id, new_gi);
         }
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("scaling.activated");
-            self.telemetry
-                .incr_by("tenants.migrated", moved.len() as u64);
-            self.telemetry.record(TelemetryEvent::ScalingActivated {
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.record(TelemetryEvent::ScalingActivated {
+            at_ms,
+            group: gi,
+            new_group: new_gi,
+        });
+        for t in &moved {
+            self.telemetry.record(TelemetryEvent::TenantMigrated {
                 at_ms,
-                group: gi,
-                new_group: new_gi,
+                tenant: t.id,
+                from_group: gi,
+                to_group: new_gi,
             });
-            for t in &moved {
-                self.telemetry.record(TelemetryEvent::TenantMigrated {
-                    at_ms,
-                    tenant: t.id,
-                    from_group: gi,
-                    to_group: new_gi,
-                });
-            }
-            self.telemetry
-                .set_gauge("groups", (self.groups.len() + 1) as i64);
         }
+        self.telemetry.set_groups(self.groups.len() + 1);
         self.groups.push(GroupRuntime {
             members: moved,
             instances: vec![instance],
@@ -1423,33 +1344,28 @@ impl ThriftyService {
             self.groups[new_gi]
                 .monitor
                 .on_query_start(info.tenant, now_ms);
-            if self.telemetry.is_enabled() {
-                let at_ms = self.log_ms(now_ms);
-                self.telemetry.incr("queries.cancelled");
-                self.telemetry.incr("queries.submitted");
-                self.telemetry.incr("queries.migrated");
-                self.telemetry.incr(Self::route_counter(route.kind));
-                self.telemetry.record(TelemetryEvent::QueryCancelled {
-                    at_ms,
-                    query: qid,
-                    tenant: info.tenant,
-                    group: gi,
-                });
-                self.telemetry.record(TelemetryEvent::QuerySubmitted {
-                    at_ms,
-                    query: new_qid,
-                    tenant: info.tenant,
-                    group: new_gi,
-                });
-                self.telemetry.record(TelemetryEvent::QueryRouted {
-                    at_ms,
-                    query: new_qid,
-                    tenant: info.tenant,
-                    group: new_gi,
-                    mppdb: route.mppdb,
-                    kind: route.kind,
-                });
-            }
+            let at_ms = self.log_ms(now_ms);
+            self.telemetry.count(Counter::QueriesMigrated, 1);
+            self.telemetry.record(TelemetryEvent::QueryCancelled {
+                at_ms,
+                query: qid,
+                tenant: info.tenant,
+                group: gi,
+            });
+            self.telemetry.record(TelemetryEvent::QuerySubmitted {
+                at_ms,
+                query: new_qid,
+                tenant: info.tenant,
+                group: new_gi,
+            });
+            self.telemetry.record(TelemetryEvent::QueryRouted {
+                at_ms,
+                query: new_qid,
+                tenant: info.tenant,
+                group: new_gi,
+                mppdb: route.mppdb,
+                kind: route.kind,
+            });
             self.inflight.insert(
                 new_qid,
                 Inflight {
@@ -1494,14 +1410,11 @@ impl ThriftyService {
             return Err(ThriftyError::DuplicateTenant(tenant.id));
         }
         let now_ms = self.cluster.now().as_ms();
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("tenants.registered");
-            self.telemetry.record(TelemetryEvent::TenantRegistered {
-                at_ms,
-                tenant: tenant.id,
-            });
-        }
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.record(TelemetryEvent::TenantRegistered {
+            at_ms,
+            tenant: tenant.id,
+        });
         match self.park_group() {
             Some(park) => self.park_tenant(tenant, park, now_ms),
             // Mid-cycle every candidate may be marked for retirement; hold
@@ -1537,23 +1450,15 @@ impl ThriftyService {
     /// Starts the bulk load that parks `tenant` on `park`'s tuning MPPDB.
     fn park_tenant(&mut self, tenant: Tenant, park: usize, now_ms: u64) -> ThriftyResult<()> {
         let instance = self.groups[park].instances[0];
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("bulk_loads.started");
-            self.telemetry.record(TelemetryEvent::BulkLoadStarted {
-                at_ms,
-                instance,
-                tenant: tenant.id,
-            });
-        }
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.record(TelemetryEvent::BulkLoadStarted {
+            at_ms,
+            instance,
+            tenant: tenant.id,
+        });
         self.cluster
             .load_tenant(instance, tenant.id, tenant.data_gb)?;
-        let instantly_hosted = self
-            .cluster
-            .instance(instance)
-            .map(|i| i.hosts(tenant.id))
-            .unwrap_or(false);
-        if instantly_hosted {
+        if self.hosts(instance, tenant.id) {
             // Zero-size loads complete synchronously (no event fires).
             self.finish_park(instance, tenant, park, now_ms);
         } else {
@@ -1582,15 +1487,12 @@ impl ThriftyService {
     /// Completes a registration: the tenant's data reached the park
     /// group's tuning MPPDB and the tenant becomes routable (parked).
     fn finish_park(&mut self, instance: InstanceId, tenant: Tenant, park: usize, now_ms: u64) {
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("bulk_loads.finished");
-            self.telemetry.record(TelemetryEvent::BulkLoadFinished {
-                at_ms,
-                instance,
-                tenant: tenant.id,
-            });
-        }
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.record(TelemetryEvent::BulkLoadFinished {
+            at_ms,
+            instance,
+            tenant: tenant.id,
+        });
         self.tenant_info.insert(tenant.id, tenant);
         self.tenant_group.insert(tenant.id, park);
         self.groups[park].members.push(tenant);
@@ -1642,14 +1544,7 @@ impl ThriftyService {
             // Reclaim the replica space wherever this group hosts the data.
             let instances: Vec<InstanceId> = self.groups[gi].instances.clone();
             for inst in instances {
-                let hosts = self
-                    .cluster
-                    .instance(inst)
-                    .map(|i| i.hosts(tenant))
-                    .unwrap_or(false);
-                if hosts {
-                    self.cluster.drop_tenant(inst, tenant)?;
-                }
+                self.drop_if_hosted(inst, tenant)?;
             }
         }
         self.parked.remove(&tenant);
@@ -1659,12 +1554,9 @@ impl ThriftyService {
     }
 
     fn record_deregistration(&mut self, tenant: TenantId, now_ms: u64) {
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("tenants.deregistered");
-            self.telemetry
-                .record(TelemetryEvent::TenantDeregistered { at_ms, tenant });
-        }
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry
+            .record(TelemetryEvent::TenantDeregistered { at_ms, tenant });
     }
 
     /// Removes a departing tenant from an in-progress cycle: its planned
@@ -1695,14 +1587,7 @@ impl ThriftyService {
             }
         }
         for inst in drop_from {
-            let hosts = self
-                .cluster
-                .instance(inst)
-                .map(|i| i.hosts(tenant))
-                .unwrap_or(false);
-            if hosts {
-                self.cluster.drop_tenant(inst, tenant)?;
-            }
+            self.drop_if_hosted(inst, tenant)?;
         }
         self.check_cycle_progress(now_ms)
     }
@@ -1758,17 +1643,14 @@ impl ThriftyService {
         }
         let now_ms = self.cluster.now().as_ms();
         let cycle_no = self.cycles_completed + 1;
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("reconsolidation.started");
-            self.telemetry
-                .record(TelemetryEvent::ReconsolidationStarted {
-                    at_ms,
-                    cycle: cycle_no,
-                    builds: plan.builds.len(),
-                    retiring: plan.retire.len(),
-                });
-        }
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry
+            .record(TelemetryEvent::ReconsolidationStarted {
+                at_ms,
+                cycle: cycle_no,
+                builds: plan.builds.len(),
+                retiring: plan.retire.len(),
+            });
         let mut cycle = ActiveCycle {
             cycle: cycle_no,
             builds: Vec::with_capacity(plan.builds.len()),
@@ -1786,20 +1668,7 @@ impl ThriftyService {
                     .cluster
                     .provision_instance(planned.node_size as usize, &[])?;
                 cycle.instance_build.insert(instance, bi);
-                if self.telemetry.is_enabled() {
-                    let at_ms = self.log_ms(now_ms);
-                    let nodes = self
-                        .cluster
-                        .instance(instance)
-                        .map(|i| i.nodes().len())
-                        .unwrap_or(0);
-                    self.telemetry.incr("instances.provisioned");
-                    self.telemetry.record(TelemetryEvent::InstanceProvisioned {
-                        at_ms,
-                        instance,
-                        nodes,
-                    });
-                }
+                self.record_provisioned(instance, at_ms);
                 // Instant provisioning (tests) readies the instance
                 // synchronously and fires no event — handle it inline.
                 let ready_now = self
@@ -1921,32 +1790,20 @@ impl ThriftyService {
             cycle.builds[bi].ready += 1;
             cycle.builds[bi].members.clone()
         };
+        let at_ms = self.log_ms(now_ms);
         for m in members {
-            if self.telemetry.is_enabled() {
-                let at_ms = self.log_ms(now_ms);
-                self.telemetry.incr("bulk_loads.started");
-                self.telemetry.record(TelemetryEvent::BulkLoadStarted {
+            self.telemetry.record(TelemetryEvent::BulkLoadStarted {
+                at_ms,
+                instance,
+                tenant: m.id,
+            });
+            self.cluster.load_tenant(instance, m.id, m.data_gb)?;
+            if self.hosts(instance, m.id) {
+                self.telemetry.record(TelemetryEvent::BulkLoadFinished {
                     at_ms,
                     instance,
                     tenant: m.id,
                 });
-            }
-            self.cluster.load_tenant(instance, m.id, m.data_gb)?;
-            let instantly_hosted = self
-                .cluster
-                .instance(instance)
-                .map(|i| i.hosts(m.id))
-                .unwrap_or(false);
-            if instantly_hosted {
-                if self.telemetry.is_enabled() {
-                    let at_ms = self.log_ms(now_ms);
-                    self.telemetry.incr("bulk_loads.finished");
-                    self.telemetry.record(TelemetryEvent::BulkLoadFinished {
-                        at_ms,
-                        instance,
-                        tenant: m.id,
-                    });
-                }
             } else if let Some(cycle) = self.recon.as_mut() {
                 cycle.loads.insert((instance, m.id), bi);
                 cycle.builds[bi].loads_pending += 1;
@@ -1977,28 +1834,18 @@ impl ThriftyService {
             if let Some(cycle) = self.recon.as_mut() {
                 cycle.builds[bi].loads_pending = cycle.builds[bi].loads_pending.saturating_sub(1);
             }
-            if self.telemetry.is_enabled() {
-                let at_ms = self.log_ms(now_ms);
-                self.telemetry.incr("bulk_loads.finished");
-                self.telemetry.record(TelemetryEvent::BulkLoadFinished {
-                    at_ms,
-                    instance,
-                    tenant,
-                });
-            }
+            let at_ms = self.log_ms(now_ms);
+            self.telemetry.record(TelemetryEvent::BulkLoadFinished {
+                at_ms,
+                instance,
+                tenant,
+            });
             return self.check_cycle_progress(now_ms);
         }
         // Orphaned load (the registration or planned membership was
         // cancelled mid-flight): reclaim the space.
         if !self.tenant_info.contains_key(&tenant) {
-            let hosts = self
-                .cluster
-                .instance(instance)
-                .map(|i| i.hosts(tenant))
-                .unwrap_or(false);
-            if hosts {
-                self.cluster.drop_tenant(instance, tenant)?;
-            }
+            self.drop_if_hosted(instance, tenant)?;
         }
         Ok(())
     }
@@ -2055,20 +1902,14 @@ impl ThriftyService {
             self.parked.remove(&m.id);
         }
         let replicas = instances.len();
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("groups.cutover");
-            self.telemetry
-                .incr_by("reconsolidation.tenants_moved", members.len() as u64);
-            self.telemetry.record(TelemetryEvent::GroupCutover {
-                at_ms,
-                group: new_gi,
-                tenants: members.len(),
-                replicas,
-            });
-            self.telemetry
-                .set_gauge("groups", (self.groups.len() + 1) as i64);
-        }
+        let at_ms = self.log_ms(now_ms);
+        self.telemetry.record(TelemetryEvent::GroupCutover {
+            at_ms,
+            group: new_gi,
+            tenants: members.len(),
+            replicas,
+        });
+        self.telemetry.set_groups(self.groups.len() + 1);
         self.groups.push(GroupRuntime {
             members,
             instances,
@@ -2120,7 +1961,6 @@ impl ThriftyService {
         self.cycles_completed = cycle.cycle;
         if self.telemetry.is_enabled() {
             let at_ms = self.log_ms(now_ms);
-            self.telemetry.incr("reconsolidation.completed");
             self.telemetry
                 .record(TelemetryEvent::ReconsolidationCompleted {
                     at_ms,
@@ -2155,15 +1995,12 @@ impl ThriftyService {
             let instances = std::mem::take(&mut self.groups[gi].instances);
             for inst in instances {
                 self.cluster.decommission(inst)?;
-                if self.telemetry.is_enabled() {
-                    let at_ms = self.log_ms(now_ms);
-                    self.telemetry.incr("instances.decommissioned");
-                    self.telemetry
-                        .record(TelemetryEvent::InstanceDecommissioned {
-                            at_ms,
-                            instance: inst,
-                        });
-                }
+                let at_ms = self.log_ms(now_ms);
+                self.telemetry
+                    .record(TelemetryEvent::InstanceDecommissioned {
+                        at_ms,
+                        instance: inst,
+                    });
             }
         }
         self.retiring = still;
@@ -2242,23 +2079,19 @@ impl ThriftyService {
     /// Bumps a controller-decision counter (crate-internal: the
     /// [`Reconsolidator`](crate::reconsolidation::Reconsolidator) has no
     /// telemetry of its own, so its decisions land in the service's).
-    pub(crate) fn note_controller(&mut self, counter: &'static str, by: u64) {
-        if self.telemetry.is_enabled() && by > 0 {
-            self.telemetry.incr_by(counter, by);
-        }
+    pub(crate) fn note_controller(&mut self, counter: Counter, by: u64) {
+        self.telemetry.count(counter, by);
     }
 
     /// Records a controller cadence adaptation (crate-internal).
     pub(crate) fn note_controller_adapted(&mut self, interval_ms: u64, window_ms: u64, error: f64) {
-        if self.telemetry.is_enabled() {
-            let at_ms = self.log_now().as_ms();
-            self.telemetry.record(TelemetryEvent::ControllerAdapted {
-                at_ms,
-                interval_ms,
-                window_ms,
-                error_ppm: (error.clamp(0.0, 1.0) * 1_000_000.0) as u64,
-            });
-        }
+        let at_ms = self.log_now().as_ms();
+        self.telemetry.record(TelemetryEvent::ControllerAdapted {
+            at_ms,
+            interval_ms,
+            window_ms,
+            error_ppm: (error.clamp(0.0, 1.0) * 1_000_000.0) as u64,
+        });
     }
 
     /// Whether a re-consolidation cycle is currently executing.

@@ -1,16 +1,27 @@
-//! Deterministic service telemetry: named metrics plus a structured event
-//! stream.
+//! Deterministic service telemetry: a structured event stream and the
+//! typed metrics derived from it.
 //!
 //! The service loop (and the simulated cluster underneath it) is a black
 //! box without this module: the only outputs are the final SLA records.
 //! Telemetry opens the hot paths — query routing, completions, elastic
-//! scaling, node failures — as:
+//! scaling, node failures, tenant lifecycle, re-consolidation — as a
+//! bounded stream of [`TelemetryEvent`]s, each stamped with its
+//! **log-timeline** instant in milliseconds.
 //!
-//! * a [`Registry`] of named **counters**, **gauges**, and log-scale
-//!   **histograms** (power-of-two buckets, so recording is two integer
-//!   additions and a branch), and
-//! * a bounded stream of [`TelemetryEvent`]s, each stamped with its
-//!   **log-timeline** instant in milliseconds.
+//! ## Events are the counters
+//!
+//! The event is the single source of truth for the named counters:
+//! [`Telemetry::record`] bumps the counters each event implies (the rule is
+//! listed there), so a recording site makes one call and a counter cannot
+//! drift from its events. Counters are a fixed array indexed by a
+//! crate-private enum, never a string lookup. The few values with no 1:1
+//! event are explicit typed calls inside the crate:
+//!
+//! * `queries.migrated` and the eight `controller.*` decision counters;
+//! * the `groups` gauge (live tenant-group count);
+//! * the `query.latency_ms` and `query.slowdown_pct` log-scale
+//!   [`Histogram`]s (power-of-two buckets, so recording is two integer
+//!   additions and a branch).
 //!
 //! ## Determinism contract
 //!
@@ -23,8 +34,8 @@
 //! ## Overhead contract
 //!
 //! With [`TelemetryConfig::disabled`] every recording call is a single
-//! branch on [`Telemetry::is_enabled`]; no allocation, no map lookup, no
-//! event push. The `sim_engine` bench exercises the cluster without any
+//! branch on [`Telemetry::is_enabled`]; no allocation, no counter update,
+//! no event push. The `sim_engine` bench exercises the cluster without any
 //! core-side telemetry at all.
 
 use crate::routing::RouteKind;
@@ -38,21 +49,20 @@ use std::collections::BTreeMap;
 
 /// Telemetry recording policy.
 ///
-/// Construct via [`TelemetryConfig::default`] (everything on),
-/// [`TelemetryConfig::counters_only`], or [`TelemetryConfig::disabled`];
-/// the struct is `#[non_exhaustive]` so new knobs can land without
-/// breaking callers.
+/// Construct via [`TelemetryConfig::default`] (everything on) or
+/// [`TelemetryConfig::disabled`]; [`TelemetryConfig::with_event_capacity`]
+/// bounds the retained stream (capacity `0` keeps counters, gauges and
+/// histograms but no events). The struct is `#[non_exhaustive]` so new
+/// knobs can land without breaking callers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct TelemetryConfig {
     /// Master switch. Off = every recording call is a no-op.
     pub enabled: bool,
-    /// Whether individual [`TelemetryEvent`]s are kept (counters and
-    /// histograms are always maintained while `enabled`).
-    pub record_events: bool,
     /// Maximum number of retained events; once reached, further events
-    /// are counted in [`TelemetrySnapshot::dropped_events`] instead of
-    /// stored. Bounds memory on multi-day replays.
+    /// still bump their counters but are counted in
+    /// [`TelemetrySnapshot::dropped_events`] instead of stored. Bounds
+    /// memory on multi-day replays.
     pub event_capacity: usize,
 }
 
@@ -60,27 +70,16 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             enabled: true,
-            record_events: true,
             event_capacity: 1 << 20,
         }
     }
 }
 
 impl TelemetryConfig {
-    /// Counters, gauges, and histograms only — no per-event records.
-    pub fn counters_only() -> Self {
-        TelemetryConfig {
-            record_events: false,
-            event_capacity: 0,
-            ..TelemetryConfig::default()
-        }
-    }
-
     /// Telemetry fully off: every recording call reduces to one branch.
     pub fn disabled() -> Self {
         TelemetryConfig {
             enabled: false,
-            record_events: false,
             event_capacity: 0,
         }
     }
@@ -91,6 +90,68 @@ impl TelemetryConfig {
         self
     }
 }
+
+/// Declares [`Counter`] and its names from one list, so a variant and its
+/// snapshot key cannot disagree.
+macro_rules! counters {
+    ($($variant:ident => $name:literal,)+) => {
+        /// The fixed counter taxonomy. A variant indexes the recorder's
+        /// counter array; its name is the key in the snapshot's `counters`.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub(crate) enum Counter {
+            $($variant,)+
+        }
+
+        impl Counter {
+            /// Every counter name, in variant order.
+            const NAMES: &'static [&'static str] = &[$($name,)+];
+        }
+    };
+}
+
+counters! {
+    QueriesSubmitted => "queries.submitted",
+    QueriesCompleted => "queries.completed",
+    QueriesCancelled => "queries.cancelled",
+    QueriesMigrated => "queries.migrated",
+    RouteSticky => "route.sticky",
+    RouteTuningFree => "route.tuning_free",
+    RouteOtherFree => "route.other_free",
+    RouteOverflow => "route.overflow",
+    SlaMet => "sla.met",
+    SlaViolated => "sla.violated",
+    ScalingTriggered => "scaling.triggered",
+    ScalingActivated => "scaling.activated",
+    TenantsMigrated => "tenants.migrated",
+    NodesFailed => "nodes.failed",
+    NodesReplaced => "nodes.replaced",
+    NodesReplacementDeferred => "nodes.replacement_deferred",
+    NodesReplacementRetried => "nodes.replacement_retried",
+    InstancesProvisioned => "instances.provisioned",
+    InstancesDecommissioned => "instances.decommissioned",
+    TenantsRegistered => "tenants.registered",
+    TenantsDeregistered => "tenants.deregistered",
+    BulkLoadsStarted => "bulk_loads.started",
+    BulkLoadsFinished => "bulk_loads.finished",
+    ReconsolidationStarted => "reconsolidation.started",
+    ReconsolidationCompleted => "reconsolidation.completed",
+    ReconsolidationTenantsMoved => "reconsolidation.tenants_moved",
+    GroupsCutover => "groups.cutover",
+    ControllerSkippedBusy => "controller.skipped_busy",
+    ControllerSkippedNoop => "controller.skipped_noop",
+    ControllerSkippedNodes => "controller.skipped_nodes",
+    ControllerSkippedDeferred => "controller.skipped_deferred",
+    ControllerAdaptShrink => "controller.adapt_shrink",
+    ControllerAdaptGrow => "controller.adapt_grow",
+    ControllerMovesDeferred => "controller.moves_deferred",
+    ControllerBuildsCapped => "controller.builds_capped",
+    ConfigReloads => "config.reloads",
+    ConfigKnobsApplied => "config.knobs_applied",
+    ConfigKnobsRejected => "config.knobs_rejected",
+}
+
+/// Number of counters in the taxonomy.
+const COUNTERS: usize = Counter::NAMES.len();
 
 /// A log-scale histogram with power-of-two buckets.
 ///
@@ -208,77 +269,6 @@ pub struct HistogramSnapshot {
     pub p99: u64,
     /// Raw power-of-two bucket counts (see [`Histogram`]).
     pub buckets: Vec<u64>,
-}
-
-/// A registry of named metrics. Names are `.`-separated lowercase paths
-/// (e.g. `"queries.submitted"`, `"route.overflow"`); the `BTreeMap`
-/// backing keeps iteration — and therefore serialization — in
-/// deterministic name order.
-#[derive(Clone, Debug, Default)]
-pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Increments a counter by 1.
-    pub fn incr(&mut self, name: &str) {
-        self.incr_by(name, 1);
-    }
-
-    /// Increments a counter by `n`. Allocates only on the first use of a
-    /// name.
-    pub fn incr_by(&mut self, name: &str, n: u64) {
-        match self.counters.get_mut(name) {
-            Some(c) => *c += n,
-            None => {
-                self.counters.insert(name.to_string(), n);
-            }
-        }
-    }
-
-    /// Sets a gauge to an absolute value.
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
-        match self.gauges.get_mut(name) {
-            Some(g) => *g = value,
-            None => {
-                self.gauges.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    /// Records an observation into a named histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                self.histograms.insert(name.to_string(), h);
-            }
-        }
-    }
-
-    /// Current value of a counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// A named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
 }
 
 /// One structured event on the service's **log timeline** (`at_ms` is
@@ -620,18 +610,20 @@ impl InstanceUtilization {
 }
 
 /// Serializable freeze of everything the telemetry subsystem recorded:
-/// the registry contents, the per-instance utilization, and the retained
+/// the counters, gauge and histograms, the per-instance utilization, and
+/// the retained
 /// event stream. This is what [`crate::service::ServiceReport`] carries
 /// and what lands in `BENCH_<id>.json`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Whether telemetry was enabled (all collections are empty if not).
     pub enabled: bool,
-    /// Counter values by name.
+    /// Counter values by name: the full taxonomy, touched or not.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
+    /// Gauge values by name (the one `groups` gauge).
     pub gauges: BTreeMap<String, i64>,
-    /// Histogram summaries by name.
+    /// Histogram summaries by name; a histogram with no observation is
+    /// left out.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Per-instance utilization (every instance ever created).
     pub instances: Vec<InstanceUtilization>,
@@ -675,7 +667,10 @@ impl TelemetrySnapshot {
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     config: TelemetryConfig,
-    registry: Registry,
+    counters: [u64; COUNTERS],
+    groups: i64,
+    latency_ms: Histogram,
+    slowdown_pct: Histogram,
     events: Vec<TelemetryEvent>,
     dropped_events: u64,
 }
@@ -685,7 +680,10 @@ impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Self {
         Telemetry {
             config,
-            registry: Registry::new(),
+            counters: [0; COUNTERS],
+            groups: 0,
+            latency_ms: Histogram::default(),
+            slowdown_pct: Histogram::default(),
             events: Vec::new(),
             dropped_events: 0,
         }
@@ -703,45 +701,62 @@ impl Telemetry {
         &self.config
     }
 
-    /// Increments a counter (no-op when disabled).
+    /// Adds `n` to a counter that has no 1:1 event (no-op when disabled).
     #[inline]
-    pub fn incr(&mut self, name: &str) {
+    pub(crate) fn count(&mut self, counter: Counter, n: u64) {
         if self.config.enabled {
-            self.registry.incr(name);
+            self.counters[counter as usize] += n;
         }
     }
 
-    /// Increments a counter by `n` (no-op when disabled).
+    /// Sets the `groups` gauge (no-op when disabled).
     #[inline]
-    pub fn incr_by(&mut self, name: &str, n: u64) {
+    pub(crate) fn set_groups(&mut self, groups: usize) {
         if self.config.enabled {
-            self.registry.incr_by(name, n);
+            self.groups = groups as i64;
         }
     }
 
-    /// Sets a gauge (no-op when disabled).
+    /// Records one graded query into the `query.latency_ms` and
+    /// `query.slowdown_pct` histograms (no-op when disabled).
     #[inline]
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
+    pub(crate) fn observe_query(&mut self, latency_ms: u64, slowdown_pct: u64) {
         if self.config.enabled {
-            self.registry.set_gauge(name, value);
+            self.latency_ms.record(latency_ms);
+            self.slowdown_pct.record(slowdown_pct);
         }
     }
 
-    /// Records a histogram observation (no-op when disabled).
-    #[inline]
-    pub fn observe(&mut self, name: &str, value: u64) {
-        if self.config.enabled {
-            self.registry.observe(name, value);
-        }
-    }
-
-    /// Appends an event to the stream (no-op when disabled or when events
-    /// are off; counted as dropped once the capacity is reached).
+    /// Records an event: bumps the counters it implies, then appends it to
+    /// the stream (no-op when disabled). Once the capacity is reached the
+    /// event is counted as dropped instead of stored — its counters still
+    /// move.
+    ///
+    /// The event → counter rule (`{a,b}` = one counter per variant):
+    ///
+    /// | event | counters |
+    /// |---|---|
+    /// | `QuerySubmitted` | `queries.submitted` |
+    /// | `QueryRouted { kind }` | `route.{sticky,tuning_free,other_free,overflow}` |
+    /// | `QueryCompleted { met }` | `queries.completed`, and `sla.{met,violated}` |
+    /// | `QueryCancelled` | `queries.cancelled` |
+    /// | `Scaling{Triggered,Activated}` | `scaling.{triggered,activated}` |
+    /// | `TenantMigrated` | `tenants.migrated` |
+    /// | `Instance{Provisioned,Decommissioned}` | `instances.{provisioned,decommissioned}` |
+    /// | `Node{Failed,Replaced}` | `nodes.{failed,replaced}` |
+    /// | `Replacement{Deferred,Retried}` | `nodes.replacement_{deferred,retried}` |
+    /// | `Tenant{Registered,Deregistered}` | `tenants.{registered,deregistered}` |
+    /// | `BulkLoad{Started,Finished}` | `bulk_loads.{started,finished}` |
+    /// | `Reconsolidation{Started,Completed}` | `reconsolidation.{started,completed}` |
+    /// | `GroupCutover` | `groups.cutover`; `reconsolidation.tenants_moved` by `tenants` |
+    /// | `ConfigReloaded` | `config.reloads`; `config.knobs_{applied,rejected}` by count |
+    /// | `ControllerAdapted` | none |
     #[inline]
     pub fn record(&mut self, event: TelemetryEvent) {
-        if !self.config.enabled || !self.config.record_events {
+        if !self.config.enabled {
             return;
         }
+        self.count_event(&event);
         if self.events.len() >= self.config.event_capacity {
             self.dropped_events += 1;
             return;
@@ -749,9 +764,55 @@ impl Telemetry {
         self.events.push(event);
     }
 
-    /// Read access to the registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    /// Applies the event → counter rule documented on [`Self::record`].
+    fn count_event(&mut self, event: &TelemetryEvent) {
+        use Counter as C;
+        use TelemetryEvent as E;
+        let mut bump = |counter: Counter, n: usize| self.counters[counter as usize] += n as u64;
+        match *event {
+            E::QuerySubmitted { .. } => bump(C::QueriesSubmitted, 1),
+            E::QueryRouted { kind, .. } => bump(
+                match kind {
+                    RouteKind::Sticky => C::RouteSticky,
+                    RouteKind::TuningFree => C::RouteTuningFree,
+                    RouteKind::OtherFree => C::RouteOtherFree,
+                    RouteKind::Overflow => C::RouteOverflow,
+                },
+                1,
+            ),
+            E::QueryCompleted { met, .. } => {
+                bump(C::QueriesCompleted, 1);
+                bump(if met { C::SlaMet } else { C::SlaViolated }, 1);
+            }
+            E::QueryCancelled { .. } => bump(C::QueriesCancelled, 1),
+            E::ScalingTriggered { .. } => bump(C::ScalingTriggered, 1),
+            E::ScalingActivated { .. } => bump(C::ScalingActivated, 1),
+            E::TenantMigrated { .. } => bump(C::TenantsMigrated, 1),
+            E::InstanceProvisioned { .. } => bump(C::InstancesProvisioned, 1),
+            E::InstanceDecommissioned { .. } => bump(C::InstancesDecommissioned, 1),
+            E::NodeFailed { .. } => bump(C::NodesFailed, 1),
+            E::NodeReplaced { .. } => bump(C::NodesReplaced, 1),
+            E::ReplacementDeferred { .. } => bump(C::NodesReplacementDeferred, 1),
+            E::ReplacementRetried { .. } => bump(C::NodesReplacementRetried, 1),
+            E::TenantRegistered { .. } => bump(C::TenantsRegistered, 1),
+            E::TenantDeregistered { .. } => bump(C::TenantsDeregistered, 1),
+            E::BulkLoadStarted { .. } => bump(C::BulkLoadsStarted, 1),
+            E::BulkLoadFinished { .. } => bump(C::BulkLoadsFinished, 1),
+            E::ReconsolidationStarted { .. } => bump(C::ReconsolidationStarted, 1),
+            E::ReconsolidationCompleted { .. } => bump(C::ReconsolidationCompleted, 1),
+            E::GroupCutover { tenants, .. } => {
+                bump(C::GroupsCutover, 1);
+                bump(C::ReconsolidationTenantsMoved, tenants);
+            }
+            E::ConfigReloaded {
+                applied, rejected, ..
+            } => {
+                bump(C::ConfigReloads, 1);
+                bump(C::ConfigKnobsApplied, applied);
+                bump(C::ConfigKnobsRejected, rejected);
+            }
+            E::ControllerAdapted { .. } => {}
+        }
     }
 
     /// The retained events so far.
@@ -766,15 +827,22 @@ impl Telemetry {
         if !self.config.enabled {
             return TelemetrySnapshot::empty(false);
         }
+        let histograms = [
+            ("query.latency_ms", &self.latency_ms),
+            ("query.slowdown_pct", &self.slowdown_pct),
+        ];
         TelemetrySnapshot {
             enabled: true,
-            counters: self.registry.counters.clone(),
-            gauges: self.registry.gauges.clone(),
-            histograms: self
-                .registry
-                .histograms
+            counters: Counter::NAMES
                 .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
+                .zip(self.counters)
+                .map(|(name, n)| (name.to_string(), n))
+                .collect(),
+            gauges: BTreeMap::from([("groups".to_string(), self.groups)]),
+            histograms: histograms
+                .into_iter()
+                .filter(|(_, h)| h.count() > 0)
+                .map(|(name, h)| (name.to_string(), h.snapshot()))
                 .collect(),
             instances: Vec::new(),
             events: self.events.clone(),
@@ -783,7 +851,7 @@ impl Telemetry {
     }
 
     /// Like [`Self::snapshot`], but drains the retained event stream (the
-    /// memory-heavy part) instead of cloning it. Counters, gauges, and
+    /// memory-heavy part) instead of cloning it. Counters, the gauge, and
     /// histograms stay cumulative across calls.
     pub fn take_snapshot(&mut self) -> TelemetrySnapshot {
         let mut snap = self.snapshot();
@@ -840,29 +908,28 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_histograms() {
-        let mut r = Registry::new();
-        r.incr("a");
-        r.incr("a");
-        r.incr_by("b", 5);
-        r.set_gauge("g", -3);
-        r.set_gauge("g", 7);
-        r.observe("h", 10);
-        r.observe("h", 20);
-        assert_eq!(r.counter("a"), 2);
-        assert_eq!(r.counter("b"), 5);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("g"), Some(7));
-        assert_eq!(r.gauge("missing"), None);
-        assert_eq!(r.histogram("h").unwrap().count(), 2);
+    fn fresh_snapshot_lists_every_counter_at_zero_and_no_histograms() {
+        let snap = Telemetry::new(TelemetryConfig::default()).snapshot();
+        assert_eq!(snap.counters.len(), 38);
+        assert_eq!(
+            snap.counters.keys().map(String::as_str).collect::<Vec<_>>(),
+            {
+                let mut names = Counter::NAMES.to_vec();
+                names.sort_unstable();
+                names
+            }
+        );
+        assert!(snap.counters.values().all(|&n| n == 0));
+        assert_eq!(snap.gauges, BTreeMap::from([("groups".to_string(), 0)]));
+        assert!(snap.histograms.is_empty());
     }
 
     #[test]
     fn disabled_telemetry_records_nothing() {
         let mut t = Telemetry::new(TelemetryConfig::disabled());
-        t.incr("x");
-        t.observe("y", 1);
-        t.set_gauge("z", 1);
+        t.count(Counter::QueriesMigrated, 1);
+        t.observe_query(1, 100);
+        t.set_groups(1);
         t.record(TelemetryEvent::ScalingTriggered {
             at_ms: 0,
             group: 0,
@@ -871,6 +938,7 @@ mod tests {
         let snap = t.snapshot();
         assert!(!snap.enabled);
         assert!(snap.counters.is_empty());
+        assert!(snap.histograms.is_empty());
         assert!(snap.events.is_empty());
         assert_eq!(snap.dropped_events, 0);
     }
@@ -889,12 +957,79 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.events.len(), 2);
         assert_eq!(snap.dropped_events, 3);
+        assert_eq!(
+            snap.counter("scaling.triggered"),
+            5,
+            "dropped events still count"
+        );
+    }
+
+    #[test]
+    #[rustfmt::skip]
+    fn every_event_moves_exactly_its_counters() {
+        use TelemetryEvent as E;
+        let (query, tenant, instance, node) = (QueryId(1), TenantId(2), InstanceId(3), NodeId(4));
+        let routed = |kind| E::QueryRouted { at_ms: 0, query, tenant, group: 0, mppdb: 0, kind };
+        let completed =
+            |met| E::QueryCompleted { at_ms: 0, query, tenant, group: 0, latency_ms: 5, met };
+        let table: Vec<(E, Vec<(&str, u64)>)> = vec![
+            (E::QuerySubmitted { at_ms: 0, query, tenant, group: 0 },
+                vec![("queries.submitted", 1)]),
+            (routed(RouteKind::Sticky), vec![("route.sticky", 1)]),
+            (routed(RouteKind::TuningFree), vec![("route.tuning_free", 1)]),
+            (routed(RouteKind::OtherFree), vec![("route.other_free", 1)]),
+            (routed(RouteKind::Overflow), vec![("route.overflow", 1)]),
+            (completed(true), vec![("queries.completed", 1), ("sla.met", 1)]),
+            (completed(false), vec![("queries.completed", 1), ("sla.violated", 1)]),
+            (E::QueryCancelled { at_ms: 0, query, tenant, group: 0 },
+                vec![("queries.cancelled", 1)]),
+            (E::ScalingTriggered { at_ms: 0, group: 0, tenants: 3 },
+                vec![("scaling.triggered", 1)]),
+            (E::ScalingActivated { at_ms: 0, group: 0, new_group: 1 },
+                vec![("scaling.activated", 1)]),
+            (E::TenantMigrated { at_ms: 0, tenant, from_group: 0, to_group: 1 },
+                vec![("tenants.migrated", 1)]),
+            (E::InstanceProvisioned { at_ms: 0, instance, nodes: 4 },
+                vec![("instances.provisioned", 1)]),
+            (E::InstanceDecommissioned { at_ms: 0, instance },
+                vec![("instances.decommissioned", 1)]),
+            (E::NodeFailed { at_ms: 0, node, instance: None }, vec![("nodes.failed", 1)]),
+            (E::NodeReplaced { at_ms: 0, instance, node }, vec![("nodes.replaced", 1)]),
+            (E::ReplacementDeferred { at_ms: 0, instance, node },
+                vec![("nodes.replacement_deferred", 1)]),
+            (E::ReplacementRetried { at_ms: 0, instance, node },
+                vec![("nodes.replacement_retried", 1)]),
+            (E::TenantRegistered { at_ms: 0, tenant }, vec![("tenants.registered", 1)]),
+            (E::TenantDeregistered { at_ms: 0, tenant }, vec![("tenants.deregistered", 1)]),
+            (E::BulkLoadStarted { at_ms: 0, instance, tenant }, vec![("bulk_loads.started", 1)]),
+            (E::BulkLoadFinished { at_ms: 0, instance, tenant }, vec![("bulk_loads.finished", 1)]),
+            (E::ReconsolidationStarted { at_ms: 0, cycle: 1, builds: 2, retiring: 3 },
+                vec![("reconsolidation.started", 1)]),
+            (E::ReconsolidationCompleted { at_ms: 0, cycle: 1, groups_built: 2, groups_retired: 3 },
+                vec![("reconsolidation.completed", 1)]),
+            (E::GroupCutover { at_ms: 0, group: 1, tenants: 7, replicas: 2 },
+                vec![("groups.cutover", 1), ("reconsolidation.tenants_moved", 7)]),
+            (E::ConfigReloaded { at_ms: 0, applied: 3, rejected: 2 },
+                vec![("config.knobs_applied", 3), ("config.knobs_rejected", 2),
+                     ("config.reloads", 1)]),
+            (E::ControllerAdapted { at_ms: 0, interval_ms: 10, window_ms: 20, error_ppm: 30 },
+                vec![]),
+        ];
+        for (event, expected) in table {
+            let mut t = Telemetry::new(TelemetryConfig::default());
+            t.record(event);
+            let snap = t.snapshot();
+            let moved: Vec<(&str, u64)> = snap.counters.iter()
+                .filter(|&(_, &n)| n > 0)
+                .map(|(name, &n)| (name.as_str(), n))
+                .collect();
+            assert_eq!(moved, expected, "counters moved by {event:?}");
+        }
     }
 
     #[test]
     fn take_snapshot_drains_events_but_keeps_counters() {
         let mut t = Telemetry::new(TelemetryConfig::default());
-        t.incr("c");
         t.record(TelemetryEvent::ScalingTriggered {
             at_ms: 1,
             group: 0,
@@ -902,18 +1037,22 @@ mod tests {
         });
         let first = t.take_snapshot();
         assert_eq!(first.events.len(), 1);
-        assert_eq!(first.counter("c"), 1);
+        assert_eq!(first.counter("scaling.triggered"), 1);
         let second = t.take_snapshot();
         assert!(second.events.is_empty(), "events were drained");
-        assert_eq!(second.counter("c"), 1, "counters stay cumulative");
+        assert_eq!(
+            second.counter("scaling.triggered"),
+            1,
+            "counters stay cumulative"
+        );
     }
 
     #[test]
     fn snapshot_round_trips_through_serde() {
         let mut t = Telemetry::new(TelemetryConfig::default());
-        t.incr("queries.submitted");
-        t.observe("query.latency_ms", 1234);
-        t.set_gauge("groups", 2);
+        t.count(Counter::QueriesMigrated, 1);
+        t.observe_query(1234, 150);
+        t.set_groups(2);
         t.record(TelemetryEvent::QueryRouted {
             at_ms: 7,
             query: QueryId(1),

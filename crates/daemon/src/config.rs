@@ -7,8 +7,7 @@
 //! ready-to-edit example.
 //!
 //! Hot-reload reads the same file again (`SIGHUP` or the `reload`
-//! request), re-validates `service` through
-//! [`ServiceConfigBuilder`](thrifty::service::ServiceConfigBuilder), and
+//! request), re-validates `service` through [`ServiceConfigBuilder`], and
 //! applies the safe knob subset via
 //! [`ThriftyService::apply_config`](thrifty::service::ThriftyService::apply_config).
 //! Deploy-time sections (`cluster`, `groups`, `templates`,
@@ -81,8 +80,7 @@ pub struct TenantSection {
     pub data_gb: f64,
 }
 
-/// The hot-reloadable service knobs (mirrors
-/// [`ServiceConfig`](thrifty::service::ServiceConfig)).
+/// The hot-reloadable service knobs (mirrors [`ServiceConfig`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSection {
     /// SLA relative tolerance (see `SlaPolicy`).

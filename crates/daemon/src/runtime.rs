@@ -5,9 +5,9 @@
 //! [`DaemonCore`] is transport-free — the unix-socket server, the fuzz
 //! harness, and in-process tests all drive the same `tick`/`handle`
 //! pair, which is what makes the daemon path byte-comparable to direct
-//! library use: under a [`SimClock`](thrifty::clock::SimClock) the only
-//! way time moves is an explicit `Advance`/`Quiesce` request, so a
-//! request sequence *is* a deterministic schedule.
+//! library use: under a [`SimClock`] the only way time moves is an
+//! explicit `Advance`/`Quiesce` request, so a request sequence *is* a
+//! deterministic schedule.
 
 use crate::config::{DaemonConfig, TenantSection};
 use crate::error::{DaemonError, DaemonResult};

@@ -170,6 +170,11 @@ fn scale_out_migration_is_byte_identical_across_shuffled_runs() {
         forward, shuffled,
         "shuffled tenant-history insertion must not change a single byte"
     );
+    assert_eq!(
+        fnv1a(&forward),
+        0x699d_76ee_ca9d_b4cc,
+        "the scale-out report must stay byte-identical to the pinned output"
+    );
 }
 
 /// Runs the bench pipeline (histories → FFD/2-step comparison) at a given
@@ -234,6 +239,11 @@ fn parallel_pipeline_is_byte_identical_to_serial() {
     assert!(
         serial.3.contains("\"queries.submitted\""),
         "the serialized report must carry telemetry counters"
+    );
+    assert_eq!(
+        fnv1a(&serial.3),
+        0xd453_df9f_be94_cc64,
+        "the telemetry-enabled service report must stay byte-identical to the pinned output"
     );
 }
 

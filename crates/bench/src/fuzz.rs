@@ -539,6 +539,74 @@ pub struct LifecycleFuzzOutcome {
     pub report_json: String,
 }
 
+/// The deployment the lifecycle and controller fuzzers start from: two
+/// groups of two tenants at replication `a`, scaling off, a 4 h monitoring
+/// window, and room for every telemetry event.
+fn lifecycle_service(
+    seed: u64,
+    a: u32,
+    total_nodes: usize,
+    template: QueryTemplate,
+) -> Result<ThriftyService, String> {
+    let members = |base: u32| -> Vec<Tenant> {
+        (base..base + 2)
+            .map(|i| Tenant::new(TenantId(i), 2, 100.0 + f64::from(i) * 25.0))
+            .collect()
+    };
+    let plan = DeploymentPlan {
+        groups: vec![
+            TenantGroupPlan::new(members(0), a, 2),
+            TenantGroupPlan::new(members(2), a, 2),
+        ],
+    };
+    let config = ServiceConfig::builder()
+        .elastic_scaling(false)
+        .monitor_window_ms(4 * 3_600_000)
+        .telemetry(TelemetryConfig::default().with_event_capacity(20_000))
+        .build()
+        .map_err(|e| format!("seed {seed}: config: {e}"))?;
+    ThriftyService::deploy(&plan, total_nodes, [template], config)
+        .map_err(|e| format!("seed {seed}: deploy failed: {e}"))
+}
+
+/// The advisor both lifecycle fuzzers plan their cycles with.
+fn lifecycle_advisor(a: u32) -> AdvisorConfig {
+    AdvisorConfig {
+        replication: a,
+        sla_p: 0.999,
+        epoch: EpochConfig::new(10_000, 4 * 3_600_000),
+        algorithm: GroupingAlgorithm::TwoStep,
+        exclusion: ExclusionPolicy::default(),
+    }
+}
+
+/// Submits one query for a random live tenant (parked included); returns
+/// whether there was a tenant to pick.
+fn submit_random(
+    rng: &mut SmallRng,
+    service: &mut ThriftyService,
+    template: &QueryTemplate,
+    seed: u64,
+    step: u32,
+) -> Result<bool, String> {
+    let live = service.live_tenants();
+    let Some(&tenant) = pick(rng, &live) else {
+        return Ok(false);
+    };
+    let data_gb = rng.gen_range(50.0..300.0);
+    let baseline =
+        SimDuration::from_ms_f64(mppdb_sim::cost::isolated_latency_ms(template, data_gb, 2));
+    service
+        .submit(IncomingQuery {
+            tenant,
+            submit: service.log_now(),
+            template: template.id,
+            baseline,
+        })
+        .map_err(|e| format!("seed {seed} step {step}: submit: {e}"))?;
+    Ok(true)
+}
+
 /// Runs one seeded randomized tenant-lifecycle schedule through
 /// [`ThriftyService`]: queries, time, registrations, deregistrations, and
 /// re-consolidation cycles interleave freely, and after every step the
@@ -555,40 +623,8 @@ pub fn fuzz_lifecycle(seed: u64) -> Result<LifecycleFuzzOutcome, String> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x6A09_E667_F3BC_C908);
     let template = QueryTemplate::new(TemplateId(2), 150.0, 0.0);
     let a = rng.gen_range(1u32..3);
-    let members = |base: u32| -> Vec<Tenant> {
-        (base..base + 2)
-            .map(|i| Tenant::new(TenantId(i), 2, 100.0 + f64::from(i) * 25.0))
-            .collect()
-    };
-    let plan = DeploymentPlan {
-        groups: vec![
-            TenantGroupPlan::new(members(0), a, 2),
-            TenantGroupPlan::new(members(2), a, 2),
-        ],
-    };
-    let total_nodes = rng.gen_range(14usize..30);
-    let mut service = ThriftyService::deploy(
-        &plan,
-        total_nodes,
-        [template],
-        ServiceConfig::builder()
-            .elastic_scaling(false)
-            .monitor_window_ms(4 * 3_600_000)
-            .telemetry(TelemetryConfig::default().with_event_capacity(20_000))
-            .build()
-            .map_err(|e| format!("seed {seed}: config: {e}"))?,
-    )
-    .map_err(|e| format!("seed {seed}: deploy failed: {e}"))?;
-    let recon = Reconsolidator::new(
-        AdvisorConfig {
-            replication: a,
-            sla_p: 0.999,
-            epoch: EpochConfig::new(10_000, 4 * 3_600_000),
-            algorithm: GroupingAlgorithm::TwoStep,
-            exclusion: ExclusionPolicy::default(),
-        },
-        1,
-    );
+    let mut service = lifecycle_service(seed, a, rng.gen_range(14usize..30), template)?;
+    let recon = Reconsolidator::new(lifecycle_advisor(a), 1);
 
     let mut next_tenant = 100u32;
     let mut registered = 0u64;
@@ -616,21 +652,7 @@ pub fn fuzz_lifecycle(seed: u64) -> Result<LifecycleFuzzOutcome, String> {
                     .map_err(|e| format!("seed {seed} step {step}: quiesce: {e}"))?;
             }
         } else if roll < 60 {
-            // Submit a query for a random live tenant (parked included).
-            let live = service.live_tenants();
-            if let Some(&tenant) = pick(&mut rng, &live) {
-                let data_gb = rng.gen_range(50.0..300.0);
-                let baseline = SimDuration::from_ms_f64(mppdb_sim::cost::isolated_latency_ms(
-                    &template, data_gb, 2,
-                ));
-                service
-                    .submit(IncomingQuery {
-                        tenant,
-                        submit: service.log_now(),
-                        template: template.id,
-                        baseline,
-                    })
-                    .map_err(|e| format!("seed {seed} step {step}: submit: {e}"))?;
+            if submit_random(&mut rng, &mut service, &template, seed, step)? {
                 submitted += 1;
             }
         } else if roll < 75 {
@@ -653,20 +675,11 @@ pub fn fuzz_lifecycle(seed: u64) -> Result<LifecycleFuzzOutcome, String> {
                 }
             }
         } else {
-            // Attempt a re-consolidation cycle from observed activity.
-            if !service.reconsolidation_active() && !service.has_pending_registrations() {
-                let plan = recon.plan(&service);
-                if !plan.is_noop() {
-                    match service.begin_reconsolidation(&plan) {
-                        Ok(()) => {}
-                        // Tight pools legitimately reject a double-run.
-                        Err(ThriftyError::Sim(SimError::InsufficientNodes { .. })) => {}
-                        Err(e) => {
-                            return Err(format!("seed {seed} step {step}: begin cycle: {e}"));
-                        }
-                    }
-                }
-            }
+            // Attempt a re-consolidation cycle from observed activity (busy
+            // services, no-op plans and tight pools skip it).
+            recon
+                .cycle_now(&mut service)
+                .map_err(|e| format!("seed {seed} step {step}: begin cycle: {e}"))?;
         }
         check_lifecycle_invariants(&service, &mut floors, seed, step)?;
     }
@@ -846,41 +859,13 @@ pub fn fuzz_controller(seed: u64) -> Result<ControllerFuzzOutcome, String> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xBB67_AE85_84CA_A73B);
     let template = QueryTemplate::new(TemplateId(3), 150.0, 0.0);
     let a = rng.gen_range(1u32..3);
-    let members = |base: u32| -> Vec<Tenant> {
-        (base..base + 2)
-            .map(|i| Tenant::new(TenantId(i), 2, 100.0 + f64::from(i) * 25.0))
-            .collect()
-    };
-    let plan = DeploymentPlan {
-        groups: vec![
-            TenantGroupPlan::new(members(0), a, 2),
-            TenantGroupPlan::new(members(2), a, 2),
-        ],
-    };
-    let mut service = ThriftyService::deploy(
-        &plan,
-        rng.gen_range(16usize..30),
-        [template],
-        ServiceConfig::builder()
-            .elastic_scaling(false)
-            .monitor_window_ms(4 * 3_600_000)
-            .telemetry(TelemetryConfig::default().with_event_capacity(20_000))
-            .build()
-            .map_err(|e| format!("seed {seed}: config: {e}"))?,
-    )
-    .map_err(|e| format!("seed {seed}: deploy failed: {e}"))?;
+    let mut service = lifecycle_service(seed, a, rng.gen_range(16usize..30), template)?;
 
     let min_interval = rng.gen_range(5u64..30) * 60_000;
     let max_interval = min_interval * rng.gen_range(2u64..8);
     let min_window = rng.gen_range(30u64..120) * 60_000;
     let mut recon = Reconsolidator::with_controller(
-        AdvisorConfig {
-            replication: a,
-            sla_p: 0.999,
-            epoch: EpochConfig::new(10_000, 4 * 3_600_000),
-            algorithm: GroupingAlgorithm::TwoStep,
-            exclusion: ExclusionPolicy::default(),
-        },
+        lifecycle_advisor(a),
         ControllerConfig {
             initial_interval_ms: rng.gen_range(min_interval..=max_interval),
             min_interval_ms: min_interval,
@@ -912,21 +897,7 @@ pub fn fuzz_controller(seed: u64) -> Result<ControllerFuzzOutcome, String> {
                 .run_until_quiescent_at(target)
                 .map_err(|e| format!("seed {seed} step {step}: quiesce: {e}"))?;
         } else if roll < 70 {
-            // Submit a query for a random live tenant.
-            let live = service.live_tenants();
-            if let Some(&tenant) = pick(&mut rng, &live) {
-                let data_gb = rng.gen_range(50.0..300.0);
-                let baseline = SimDuration::from_ms_f64(mppdb_sim::cost::isolated_latency_ms(
-                    &template, data_gb, 2,
-                ));
-                service
-                    .submit(IncomingQuery {
-                        tenant,
-                        submit: service.log_now(),
-                        template: template.id,
-                        baseline,
-                    })
-                    .map_err(|e| format!("seed {seed} step {step}: submit: {e}"))?;
+            if submit_random(&mut rng, &mut service, &template, seed, step)? {
                 submitted += 1;
             }
         } else if roll < 80 {

@@ -64,7 +64,7 @@
 //! [`ThriftyService::begin_reconsolidation`].
 
 use crate::advisor::{AdvisorConfig, DeploymentAdvisor};
-use crate::error::ThriftyResult;
+use crate::error::{ThriftyError, ThriftyResult};
 use crate::service::ThriftyService;
 use crate::sla::SlaSummary;
 use crate::telemetry::Counter;
@@ -709,6 +709,23 @@ impl Reconsolidator {
         }
     }
 
+    /// One manual cycle attempt, outside the controller's cadence: plans
+    /// from observed activity and starts the cycle. Returns `false`
+    /// without starting one while a cycle is executing or registrations
+    /// are still loading, for a no-op plan, or when the free pool cannot
+    /// double-run the rebuilt groups.
+    ///
+    /// # Errors
+    ///
+    /// Propagates every service error except "insufficient free nodes".
+    pub fn cycle_now(&self, service: &mut ThriftyService) -> ThriftyResult<bool> {
+        if service.reconsolidation_active() || service.has_pending_registrations() {
+            return Ok(false);
+        }
+        let plan = self.plan(service);
+        Ok(!plan.is_noop() && start(service, &plan)?)
+    }
+
     /// Runs a cycle if one is due at the current log time: measures the
     /// error signal, plans against observed activity, applies the churn
     /// bounds, adapts the cadence, and hands any surviving plan to
@@ -768,18 +785,23 @@ impl Reconsolidator {
             }
             return Ok(false);
         }
-        match service.begin_reconsolidation(&bounded.plan) {
-            Ok(()) => {
-                self.cycles_planned += 1;
-                Ok(true)
-            }
-            Err(crate::error::ThriftyError::Sim(SimError::InsufficientNodes { .. })) => {
-                self.skips.insufficient_nodes += 1;
-                service.note_controller(Counter::ControllerSkippedNodes, 1);
-                Ok(false)
-            }
-            Err(e) => Err(e),
+        if start(service, &bounded.plan)? {
+            self.cycles_planned += 1;
+            return Ok(true);
         }
+        self.skips.insufficient_nodes += 1;
+        service.note_controller(Counter::ControllerSkippedNodes, 1);
+        Ok(false)
+    }
+}
+
+/// Starts executing `plan`. A free pool too small to double-run its builds
+/// is a clean "not started", not a failure.
+fn start(service: &mut ThriftyService, plan: &CyclePlan) -> ThriftyResult<bool> {
+    match service.begin_reconsolidation(plan) {
+        Ok(()) => Ok(true),
+        Err(ThriftyError::Sim(SimError::InsufficientNodes { .. })) => Ok(false),
+        Err(e) => Err(e),
     }
 }
 

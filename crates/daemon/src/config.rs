@@ -80,6 +80,29 @@ pub struct TenantSection {
     pub data_gb: f64,
 }
 
+impl TenantSection {
+    /// Rejects a tenant the service cannot host: zero requested nodes, or
+    /// a data size that is not finite and positive.
+    ///
+    /// # Errors
+    /// [`DaemonError::Config`] naming the tenant and the offending field.
+    pub fn validate(&self) -> DaemonResult<()> {
+        if self.nodes == 0 {
+            return Err(DaemonError::Config(format!(
+                "tenant {} requests zero nodes",
+                self.id
+            )));
+        }
+        if !(self.data_gb.is_finite() && self.data_gb > 0.0) {
+            return Err(DaemonError::Config(format!(
+                "tenant {} data_gb must be finite and positive",
+                self.id
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// The hot-reloadable service knobs (mirrors [`ServiceConfig`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSection {
@@ -257,9 +280,7 @@ impl DaemonConfig {
                 ));
             }
             for m in &g.members {
-                if m.nodes == 0 {
-                    return fail(format!("tenant {} requests zero nodes", m.id));
-                }
+                m.validate()?;
                 if !tenant_ids.insert(m.id) {
                     return fail(format!("tenant id {} appears in two groups", m.id));
                 }
@@ -367,6 +388,12 @@ mod tests {
         cfg.groups[0].members[0].nodes = 8;
         let err = cfg.validate().unwrap_err();
         assert!(err.to_string().contains("tuning_nodes"), "{err}");
+
+        // Caught here, not by a panic in `deployment_plan`.
+        let mut cfg = DaemonConfig::example();
+        cfg.groups[1].members[1].data_gb = 0.0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("data_gb must be finite"), "{err}");
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl DaemonCore {
             Request::Advance { ms } => self.advance(*ms, false),
             Request::Quiesce { ms } => self.advance(*ms, true),
             Request::Cycle => Ok(Reply::Cycled {
-                started: self.try_cycle()?,
+                started: self.recon.cycle_now(&mut self.service)?,
             }),
             Request::Reload => Ok(Reply::Reloaded(self.reload()?)),
             Request::Stop => {
@@ -171,18 +171,7 @@ impl DaemonCore {
     }
 
     fn register(&mut self, t: &TenantSection) -> DaemonResult<Reply> {
-        if t.nodes == 0 {
-            return Err(DaemonError::Config(format!(
-                "tenant {} requests zero nodes",
-                t.id
-            )));
-        }
-        if !(t.data_gb.is_finite() && t.data_gb > 0.0) {
-            return Err(DaemonError::Config(format!(
-                "tenant {} data_gb must be finite and positive",
-                t.id
-            )));
-        }
+        t.validate()?;
         self.service
             .register_tenant(Tenant::new(TenantId(t.id), t.nodes, t.data_gb))?;
         Ok(Reply::Registered { id: t.id })
@@ -244,26 +233,6 @@ impl DaemonCore {
         Ok(Reply::Advanced {
             log_now_ms: self.service.log_now().as_ms(),
         })
-    }
-
-    /// The manual-cadence cycle attempt (mirrors the lifecycle fuzz
-    /// harness): plan from observed activity, skip no-ops, and treat a
-    /// pool too tight to double-run as a clean "not started".
-    fn try_cycle(&mut self) -> DaemonResult<bool> {
-        if self.service.reconsolidation_active() || self.service.has_pending_registrations() {
-            return Ok(false);
-        }
-        let plan = self.recon.plan(&self.service);
-        if plan.is_noop() {
-            return Ok(false);
-        }
-        match self.service.begin_reconsolidation(&plan) {
-            Ok(()) => Ok(true),
-            Err(ThriftyError::Sim(mppdb_sim::error::SimError::InsufficientNodes { .. })) => {
-                Ok(false)
-            }
-            Err(e) => Err(DaemonError::Service(e)),
-        }
     }
 
     /// Re-reads the config file and hot-applies the safe subset.

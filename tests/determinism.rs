@@ -331,31 +331,19 @@ fn controller_experiment_is_byte_identical_across_thread_counts() {
 /// The three service fuzzers randomize what no scripted test reaches:
 /// registrations deferred behind a cycle, deregistrations scrubbed from a
 /// build mid-cycle, and bulk loads orphaned by a cancelled registration.
-/// Their final reports over a fixed seed range are pinned, so a refactor
-/// of the run-time service must reproduce every one of those paths byte
-/// for byte.
+/// Their final reports over seeds 0..50 are pinned, so a refactor of the
+/// run-time service must reproduce every one of those paths byte for byte.
 #[test]
 fn service_fuzz_reports_are_pinned() {
     use thrifty_bench::fuzz::{fuzz_controller, fuzz_lifecycle, fuzz_service};
 
-    let concat = |run: &dyn Fn(u64) -> String| -> u64 {
-        fnv1a(&(0..50u64).map(run).collect::<String>())
-    };
-    assert_eq!(
-        concat(&|seed| fuzz_service(seed).unwrap().report_json),
-        0xf1c6_00f7_ec5f_de40,
-        "fuzz_service reports over seeds 0..50"
-    );
-    assert_eq!(
-        concat(&|seed| fuzz_lifecycle(seed).unwrap().report_json),
-        0x1ce3_c3ae_ec58_2a14,
-        "fuzz_lifecycle reports over seeds 0..50"
-    );
-    assert_eq!(
-        concat(&|seed| fuzz_controller(seed).unwrap().report_json),
-        0x40ad_f25e_69c3_a6c4,
-        "fuzz_controller reports over seeds 0..50"
-    );
+    let digest = |run: &dyn Fn(u64) -> String| fnv1a(&(0..50u64).map(run).collect::<String>());
+    let service = digest(&|seed| fuzz_service(seed).unwrap().report_json);
+    let lifecycle = digest(&|seed| fuzz_lifecycle(seed).unwrap().report_json);
+    let controller = digest(&|seed| fuzz_controller(seed).unwrap().report_json);
+    assert_eq!(service, 0xf1c6_00f7_ec5f_de40, "fuzz_service");
+    assert_eq!(lifecycle, 0x1ce3_c3ae_ec58_2a14, "fuzz_lifecycle");
+    assert_eq!(controller, 0x40ad_f25e_69c3_a6c4, "fuzz_controller");
 }
 
 /// The session-replay loop schedules user wake-ups through a binary heap;

@@ -12,7 +12,7 @@
 
 use crate::error::{ThriftyError, ThriftyResult};
 use crate::tenant::TenantId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Sliding-window activity monitor for one tenant-group.
 #[derive(Clone, Debug)]
@@ -28,13 +28,12 @@ pub struct GroupActivityMonitor {
     /// Start of the currently open violation, if the active count exceeds
     /// `r` right now.
     open_violation: Option<u64>,
-    /// Running queries per tenant. Ordered maps: monitor state feeds the
-    /// deterministic replay (lint rule L1).
-    running: BTreeMap<TenantId, u32>,
+    /// Per busy tenant: its running queries and the start of its open
+    /// busy interval. Ordered maps: monitor state feeds the deterministic
+    /// replay (lint rule L1).
+    running: BTreeMap<TenantId, (u32, u64)>,
     /// Closed per-tenant busy intervals, oldest first.
     tenant_busy: BTreeMap<TenantId, VecDeque<(u64, u64)>>,
-    /// Open per-tenant busy interval start.
-    tenant_open: BTreeMap<TenantId, u64>,
 }
 
 impl GroupActivityMonitor {
@@ -53,7 +52,6 @@ impl GroupActivityMonitor {
             open_violation: None,
             running: BTreeMap::new(),
             tenant_busy: BTreeMap::new(),
-            tenant_open: BTreeMap::new(),
         }
     }
 
@@ -69,13 +67,10 @@ impl GroupActivityMonitor {
 
     /// Records the start of a query of `tenant` at `now_ms`.
     pub fn on_query_start(&mut self, tenant: TenantId, now_ms: u64) {
-        let count = self.running.entry(tenant).or_insert(0);
+        let (count, _) = self.running.entry(tenant).or_insert((0, now_ms));
         *count += 1;
-        if *count == 1 {
-            self.tenant_open.insert(tenant, now_ms);
-            if self.running.len() as u32 == self.r + 1 && self.open_violation.is_none() {
-                self.open_violation = Some(now_ms);
-            }
+        if *count == 1 && self.running.len() as u32 == self.r + 1 && self.open_violation.is_none() {
+            self.open_violation = Some(now_ms);
         }
         self.prune(now_ms);
     }
@@ -86,7 +81,7 @@ impl GroupActivityMonitor {
     /// [`ThriftyError::NoRunningQuery`] if the tenant has no running query
     /// (a caller bookkeeping error).
     pub fn on_query_finish(&mut self, tenant: TenantId, now_ms: u64) -> ThriftyResult<()> {
-        let Some(count) = self.running.get_mut(&tenant) else {
+        let Some((count, start)) = self.running.get_mut(&tenant) else {
             return Err(ThriftyError::NoRunningQuery {
                 component: "monitor",
                 tenant,
@@ -94,12 +89,8 @@ impl GroupActivityMonitor {
         };
         *count -= 1;
         if *count == 0 {
+            let start = *start;
             self.running.remove(&tenant);
-            let Some(start) = self.tenant_open.remove(&tenant) else {
-                return Err(ThriftyError::Internal(
-                    "an open busy interval must exist while the tenant runs",
-                ));
-            };
             if now_ms > start {
                 self.tenant_busy
                     .entry(tenant)
@@ -172,14 +163,12 @@ impl GroupActivityMonitor {
     pub fn window_activity(&self, now_ms: u64) -> Vec<(TenantId, Vec<(u64, u64)>)> {
         let window_start = now_ms.saturating_sub(self.window_ms).max(self.started_at);
         let mut out: Vec<(TenantId, Vec<(u64, u64)>)> = Vec::new();
-        let mut tenants: Vec<TenantId> = self
+        let tenants: BTreeSet<TenantId> = self
             .tenant_busy
             .keys()
-            .chain(self.tenant_open.keys())
+            .chain(self.running.keys())
             .copied()
             .collect();
-        tenants.sort_unstable();
-        tenants.dedup();
         for t in tenants {
             let mut iv: Vec<(u64, u64)> = Vec::new();
             if let Some(closed) = self.tenant_busy.get(&t) {
@@ -191,7 +180,7 @@ impl GroupActivityMonitor {
                     }
                 }
             }
-            if let Some(&s) = self.tenant_open.get(&t) {
+            if let Some(&(_, s)) = self.running.get(&t) {
                 let s = s.max(window_start);
                 if now_ms > s {
                     iv.push((s, now_ms));

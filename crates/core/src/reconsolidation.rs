@@ -644,10 +644,12 @@ impl Reconsolidator {
     /// predicted — normalized response times vs 1.0, compliance and
     /// per-group RT-TTP vs the advisor's `sla_p`. Clamped to `[0, 1]`.
     pub fn measure_error(&mut self, service: &ThriftyService) -> f64 {
+        // Counted over every record ever produced: a draining `replay` in
+        // between must not hide the ones that arrived since.
         let records = service.records();
-        let from = self.records_seen.min(records.len());
-        self.records_seen = records.len();
-        let fresh = &records[from..];
+        let seen = std::mem::replace(&mut self.records_seen, service.records_produced());
+        let unseen = self.records_seen.saturating_sub(seen).min(records.len());
+        let fresh = &records[records.len() - unseen..];
         let target = self.advisor.sla_p.max(f64::EPSILON);
         let mut error = 0.0f64;
         if !fresh.is_empty() {
@@ -988,6 +990,31 @@ mod tests {
             .expect("advances");
         r.maybe_cycle(&mut s).expect("evaluates");
         assert_eq!(r.next_due_ms(), 7 * interval);
+    }
+
+    #[test]
+    fn error_signal_sees_records_after_a_draining_replay() {
+        // A draining `replay` between two evaluations must not hide the
+        // records that complete after it from the error signal.
+        let mut s = deploy(32);
+        let mut r = Reconsolidator::new(advisor_cfg(), 3_600_000);
+        for t in 0..4u32 {
+            s.submit(q(t, u64::from(t) * 600)).expect("submits");
+        }
+        s.drain().expect("drains");
+        assert_eq!(s.records().iter().filter(|r| r.met).count(), 4);
+        r.measure_error(&s);
+        s.replay(vec![]).expect("drains the records");
+        // Two queries graded against a 1 s baseline they cannot meet.
+        for t in 0..2u32 {
+            let mut late = q(t, 4_000 + u64::from(t) * 600);
+            late.baseline = SimDuration::from_ms(1_000);
+            s.submit(late).expect("submits");
+        }
+        s.drain().expect("drains");
+        assert_eq!(s.records().len(), 2);
+        assert!(s.records().iter().all(|r| !r.met));
+        assert_eq!(r.measure_error(&s), 1.0);
     }
 
     #[test]

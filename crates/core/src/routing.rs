@@ -19,6 +19,11 @@
 //! finish, and it answers routing decisions. Keeping it free of simulator
 //! types makes Algorithm 1 unit-testable exactly as the paper walks through
 //! it (Figure 4.2).
+//!
+//! Invariant: rule 1 keeps all of an active tenant's running queries on
+//! one MPPDB, so the router stores one `(MPPDB, running count)` record per
+//! active tenant plus each MPPDB's count of tenants it serves; an MPPDB is
+//! free exactly when that count is zero.
 
 use crate::error::{ThriftyError, ThriftyResult};
 use crate::tenant::TenantId;
@@ -55,15 +60,12 @@ pub struct Route {
 /// Algorithm 1 state for one tenant-group with `A` MPPDBs.
 #[derive(Clone, Debug)]
 pub struct QueryRouter {
-    /// `running[j][tenant]` = number of that tenant's queries currently
-    /// executing on MPPDB `j`. Ordered maps: routing state is part of the
+    /// `serving[tenant] = (j, n)`: the tenant's `n > 0` running queries,
+    /// all on MPPDB `j` (rule 1). Ordered map: routing state is part of the
     /// replay-determinism contract (lint rule L1).
-    running: Vec<BTreeMap<TenantId, u32>>,
-    /// Per-tenant total across all MPPDBs, maintained incrementally so the
-    /// per-submit hot path never rescans `running`.
-    tenant_totals: BTreeMap<TenantId, u32>,
-    /// Number of distinct tenants with at least one running query.
-    distinct_active: usize,
+    serving: BTreeMap<TenantId, (MppdbIndex, u32)>,
+    /// `active[j]` = number of tenants MPPDB `j` currently serves.
+    active: Vec<usize>,
 }
 
 impl QueryRouter {
@@ -74,78 +76,61 @@ impl QueryRouter {
     pub fn new(a: usize) -> Self {
         assert!(a >= 1, "a tenant-group has at least one MPPDB");
         QueryRouter {
-            running: vec![BTreeMap::new(); a],
-            tenant_totals: BTreeMap::new(),
-            distinct_active: 0,
+            serving: BTreeMap::new(),
+            active: vec![0; a],
         }
     }
 
     /// Number of MPPDBs (`A`).
     pub fn mppdb_count(&self) -> usize {
-        self.running.len()
+        self.active.len()
     }
 
     /// Whether MPPDB `j` currently executes no queries — "free" in the
     /// paper's sense.
     pub fn is_free(&self, j: MppdbIndex) -> bool {
-        self.running[j].is_empty()
+        self.active[j] == 0
     }
 
     /// The MPPDB currently serving `tenant`, if any (rule 1 state).
     pub fn serving(&self, tenant: TenantId) -> Option<MppdbIndex> {
-        self.running
-            .iter()
-            .position(|m| m.get(&tenant).copied().unwrap_or(0) > 0)
+        self.serving.get(&tenant).map(|&(j, _)| j)
     }
 
     /// Number of distinct tenants with at least one running query in the
-    /// group — the group's concurrent-active count. O(1): maintained
-    /// incrementally by [`QueryRouter::route`] / [`QueryRouter::complete`].
+    /// group — the group's concurrent-active count.
     pub fn active_tenants(&self) -> usize {
-        self.distinct_active
+        self.serving.len()
     }
 
     /// Routes a query per Algorithm 1 and records it as running on the
     /// chosen MPPDB.
     pub fn route(&mut self, tenant: TenantId) -> Route {
         let decision = self.peek_route(tenant);
-        *self.running[decision.mppdb].entry(tenant).or_insert(0) += 1;
-        let total = self.tenant_totals.entry(tenant).or_insert(0);
-        if *total == 0 {
-            self.distinct_active += 1;
+        let (_, n) = self.serving.entry(tenant).or_insert((decision.mppdb, 0));
+        if *n == 0 {
+            self.active[decision.mppdb] += 1;
         }
-        *total += 1;
+        *n += 1;
         decision
     }
 
     /// Computes the routing decision without recording the query.
     pub fn peek_route(&self, tenant: TenantId) -> Route {
-        // Rule 1: stickiness while the tenant is active.
-        if let Some(j) = self.serving(tenant) {
-            return Route {
-                mppdb: j,
-                kind: RouteKind::Sticky,
-            };
-        }
-        // Rule 2: MPPDB_0 if free.
-        if self.is_free(0) {
-            return Route {
-                mppdb: 0,
-                kind: RouteKind::TuningFree,
-            };
-        }
-        // Rule 3: first free MPPDB.
-        if let Some(j) = (1..self.running.len()).find(|&j| self.is_free(j)) {
-            return Route {
-                mppdb: j,
-                kind: RouteKind::OtherFree,
-            };
-        }
-        // Rule 4: concurrent processing on the tuning MPPDB.
-        Route {
-            mppdb: 0,
-            kind: RouteKind::Overflow,
-        }
+        let (mppdb, kind) = if let Some(j) = self.serving(tenant) {
+            // Rule 1: stickiness while the tenant is active.
+            (j, RouteKind::Sticky)
+        } else {
+            match self.active.iter().position(|&n| n == 0) {
+                // Rule 2: MPPDB_0 if free.
+                Some(0) => (0, RouteKind::TuningFree),
+                // Rule 3: first free MPPDB.
+                Some(j) => (j, RouteKind::OtherFree),
+                // Rule 4: concurrent processing on the tuning MPPDB.
+                None => (0, RouteKind::Overflow),
+            }
+        };
+        Route { mppdb, kind }
     }
 
     /// Records the completion of one of `tenant`'s queries on MPPDB `j`.
@@ -154,25 +139,16 @@ impl QueryRouter {
     /// [`ThriftyError::NoRunningQuery`] if no such query is running (a
     /// bookkeeping error in the caller).
     pub fn complete(&mut self, j: MppdbIndex, tenant: TenantId) -> ThriftyResult<()> {
-        let Some(count) = self.running[j].get_mut(&tenant) else {
+        let Some((_, n)) = self.serving.get_mut(&tenant).filter(|s| s.0 == j) else {
             return Err(ThriftyError::NoRunningQuery {
                 component: "router",
                 tenant,
             });
         };
-        *count -= 1;
-        if *count == 0 {
-            self.running[j].remove(&tenant);
-        }
-        let Some(total) = self.tenant_totals.get_mut(&tenant) else {
-            return Err(ThriftyError::Internal(
-                "tenant_totals must track every running query",
-            ));
-        };
-        *total -= 1;
-        if *total == 0 {
-            self.tenant_totals.remove(&tenant);
-            self.distinct_active -= 1;
+        *n -= 1;
+        if *n == 0 {
+            self.serving.remove(&tenant);
+            self.active[j] -= 1;
         }
         Ok(())
     }
@@ -286,26 +262,145 @@ mod tests {
 
     #[test]
     fn active_count_stays_consistent_with_a_recount() {
-        // The incremental distinct-active count must agree with a from-
-        // scratch recount of the bookkeeping after every operation.
+        // Each MPPDB's served-tenant count must agree with a from-scratch
+        // recount of the serving map after every operation.
         let recount = |r: &QueryRouter| {
-            let mut seen: Vec<TenantId> =
-                r.running.iter().flat_map(|m| m.keys().copied()).collect();
-            seen.sort_unstable();
-            seen.dedup();
-            seen.len()
+            let mut per = vec![0usize; r.mppdb_count()];
+            for &(j, _) in r.serving.values() {
+                per[j] += 1;
+            }
+            per
         };
         let mut r = QueryRouter::new(2);
         let mut placed: Vec<(MppdbIndex, TenantId)> = Vec::new();
         for t in [T1, T2, T4, T1, T9, T2, T1] {
             placed.push((r.route(t).mppdb, t));
-            assert_eq!(r.active_tenants(), recount(&r));
+            assert_eq!(r.active, recount(&r));
         }
         while let Some((j, t)) = placed.pop() {
             r.complete(j, t).unwrap();
-            assert_eq!(r.active_tenants(), recount(&r));
+            assert_eq!(r.active, recount(&r));
         }
         assert_eq!(r.active_tenants(), 0);
+        assert!(r.active.iter().all(|&n| n == 0));
+    }
+
+    /// The three-map router this one replaced: per-MPPDB tenant maps, a
+    /// per-tenant total and a distinct-active count, kept in step by hand.
+    struct OracleRouter {
+        running: Vec<BTreeMap<TenantId, u32>>,
+        tenant_totals: BTreeMap<TenantId, u32>,
+        distinct_active: usize,
+    }
+
+    impl OracleRouter {
+        fn new(a: usize) -> Self {
+            OracleRouter {
+                running: vec![BTreeMap::new(); a],
+                tenant_totals: BTreeMap::new(),
+                distinct_active: 0,
+            }
+        }
+
+        fn is_free(&self, j: MppdbIndex) -> bool {
+            self.running[j].is_empty()
+        }
+
+        fn serving(&self, tenant: TenantId) -> Option<MppdbIndex> {
+            self.running
+                .iter()
+                .position(|m| m.get(&tenant).copied().unwrap_or(0) > 0)
+        }
+
+        fn route(&mut self, tenant: TenantId) -> Route {
+            let decision = self.peek_route(tenant);
+            *self.running[decision.mppdb].entry(tenant).or_insert(0) += 1;
+            let total = self.tenant_totals.entry(tenant).or_insert(0);
+            if *total == 0 {
+                self.distinct_active += 1;
+            }
+            *total += 1;
+            decision
+        }
+
+        fn peek_route(&self, tenant: TenantId) -> Route {
+            let (mppdb, kind) = if let Some(j) = self.serving(tenant) {
+                (j, RouteKind::Sticky)
+            } else if self.is_free(0) {
+                (0, RouteKind::TuningFree)
+            } else if let Some(j) = (1..self.running.len()).find(|&j| self.is_free(j)) {
+                (j, RouteKind::OtherFree)
+            } else {
+                (0, RouteKind::Overflow)
+            };
+            Route { mppdb, kind }
+        }
+
+        fn complete(&mut self, j: MppdbIndex, tenant: TenantId) -> ThriftyResult<()> {
+            let Some(count) = self.running[j].get_mut(&tenant) else {
+                return Err(ThriftyError::NoRunningQuery {
+                    component: "router",
+                    tenant,
+                });
+            };
+            *count -= 1;
+            if *count == 0 {
+                self.running[j].remove(&tenant);
+            }
+            let total = self.tenant_totals.get_mut(&tenant).expect("tracked");
+            *total -= 1;
+            if *total == 0 {
+                self.tenant_totals.remove(&tenant);
+                self.distinct_active -= 1;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn matches_the_three_map_oracle_on_random_interleavings() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x0A1_6041);
+        for case in 0..200 {
+            let a = rng.gen_range(1usize..=4);
+            let (mut r, mut o) = (QueryRouter::new(a), OracleRouter::new(a));
+            // Queries in flight, as (MPPDB, tenant).
+            let mut placed: Vec<(MppdbIndex, TenantId)> = Vec::new();
+            for step in 0..120 {
+                let t = TenantId(rng.gen_range(0u32..6));
+                let roll = rng.gen_range(0u32..10);
+                let ctx = format!("case {case} step {step} (A = {a})");
+                if roll < 5 {
+                    assert_eq!(r.peek_route(t), o.peek_route(t), "{ctx}");
+                    let route = r.route(t);
+                    assert_eq!(route, o.route(t), "{ctx}");
+                    placed.push((route.mppdb, t));
+                } else if roll < 8 && !placed.is_empty() {
+                    let (j, t) = placed.swap_remove(rng.gen_range(0..placed.len()));
+                    assert_eq!(r.complete(j, t), Ok(()), "{ctx}");
+                    assert_eq!(o.complete(j, t), Ok(()), "{ctx}");
+                } else {
+                    // A completion on a random (possibly wrong) MPPDB for a
+                    // random (possibly unknown) tenant.
+                    let j = rng.gen_range(0..a);
+                    let t = TenantId(rng.gen_range(0u32..8));
+                    let got = r.complete(j, t);
+                    assert_eq!(got, o.complete(j, t), "{ctx}");
+                    if got.is_ok() {
+                        let pos = placed.iter().position(|&p| p == (j, t));
+                        placed.swap_remove(pos.expect("a placed query completed"));
+                    }
+                }
+                assert_eq!(r.active_tenants(), o.distinct_active, "{ctx}");
+                for j in 0..a {
+                    assert_eq!(r.is_free(j), o.is_free(j), "{ctx}");
+                }
+                for t in (0..8).map(TenantId) {
+                    assert_eq!(r.serving(t), o.serving(t), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -70,29 +70,9 @@ pub fn identify_over_active(
         // No busy interval observed: nothing can be over-active.
         return Vec::new();
     };
-    let horizon = now_ms.saturating_sub(window_start).max(epoch_ms);
-    let epoch = EpochConfig::new(epoch_ms, horizon);
     let by_id: BTreeMap<TenantId, &Vec<(u64, u64)>> =
         window.iter().map(|(t, iv)| (*t, iv)).collect();
 
-    let mut tenants = Vec::with_capacity(members.len());
-    let mut activities = Vec::with_capacity(members.len());
-    for m in members {
-        tenants.push(*m);
-        let v = match by_id.get(&m.id) {
-            Some(iv) => {
-                // Rebase intervals to the window start so the epoch grid
-                // covers exactly the observation window.
-                let rebased: Vec<(u64, u64)> = iv
-                    .iter()
-                    .map(|&(s, e)| (s - window_start, e - window_start))
-                    .collect();
-                ActivityVector::from_intervals(&rebased, epoch)
-            }
-            None => ActivityVector::empty(epoch.epoch_count()),
-        };
-        activities.push(v);
-    }
     // With history available, deviation from history is the primary signal:
     // every member whose observed window ratio exceeds the deviation factor
     // times its historical ratio is over-active, whether or not the runtime
@@ -132,7 +112,24 @@ pub fn identify_over_active(
     }
     // Without history: run the grouping over the runtime activity; members
     // outside the first (least-active-seeded) group are over-active.
-    let problem = GroupingProblem::new(tenants, activities, replication, sla_p);
+    let horizon = now_ms.saturating_sub(window_start).max(epoch_ms);
+    let epoch = EpochConfig::new(epoch_ms, horizon);
+    let activities = members
+        .iter()
+        .map(|m| match by_id.get(&m.id) {
+            Some(iv) => {
+                // Rebase intervals to the window start so the epoch grid
+                // covers exactly the observation window.
+                let rebased: Vec<(u64, u64)> = iv
+                    .iter()
+                    .map(|&(s, e)| (s - window_start, e - window_start))
+                    .collect();
+                ActivityVector::from_intervals(&rebased, epoch)
+            }
+            None => ActivityVector::empty(epoch.epoch_count()),
+        })
+        .collect();
+    let problem = GroupingProblem::new(members.to_vec(), activities, replication, sla_p);
     let solution = two_step_grouping(&problem);
     if solution.groups.len() <= 1 {
         return Vec::new();

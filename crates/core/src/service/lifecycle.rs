@@ -5,7 +5,7 @@
 //! deployment keeps serving, cut routing over per group, then retire and
 //! decommission stale instances once they drain.
 
-use super::ThriftyService;
+use super::{LiveTenant, ThriftyService};
 use crate::error::{ThriftyError, ThriftyResult};
 use crate::reconsolidation::CyclePlan;
 use crate::scaling::ScalingEvent;
@@ -30,9 +30,9 @@ pub(super) struct PendingScale {
 /// key.
 #[derive(PartialEq)]
 pub(super) enum Load {
-    /// A registration loading onto its park group's tuning MPPDB; the
-    /// tenant becomes routable (parked) when the load lands.
-    Park { tenant: Tenant, group: usize },
+    /// A registration loading onto its park group's tuning MPPDB; its
+    /// tenant-table record (parked) goes live when the load lands.
+    Park(LiveTenant),
     /// A member loading onto a replica of the active cycle's build `bi`.
     Build(usize),
 }
@@ -80,7 +80,7 @@ impl ThriftyService {
         }
         let datasets: Vec<(TenantId, f64)> = over_active
             .iter()
-            .map(|&id| (id, self.tenant_info[&id].data_gb))
+            .map(|&id| (id, self.tenants[&id].tenant.data_gb))
             .collect();
         let node_size = self.groups[gi].node_size as usize;
         let instance = match self.cluster.provision_instance(node_size, &datasets) {
@@ -156,15 +156,15 @@ impl ThriftyService {
         // The new group: one MPPDB, exclusively serving the over-active
         // tenants.
         let new_gi = self.groups.len();
-        for t in &moved {
-            self.tenant_group.insert(t.id, new_gi);
-        }
         self.telemetry.record(TelemetryEvent::ScalingActivated {
             at_ms,
             group: gi,
             new_group: new_gi,
         });
         for t in &moved {
+            if let Some(live) = self.tenants.get_mut(&t.id) {
+                live.group = new_gi;
+            }
             self.telemetry.record(TelemetryEvent::TenantMigrated {
                 at_ms,
                 tenant: t.id,
@@ -207,7 +207,9 @@ impl ThriftyService {
             // Restart on the new MPPDB under a new query id. The scale-out
             // instance hosts every moved tenant, so a submission failure is
             // a genuine error worth surfacing.
-            self.dispatch(new_gi, spec, info.incoming, info.submitted_abs, now_ms)?;
+            let parked = self.is_parked(tenant);
+            let (incoming, submitted) = (info.incoming, info.submitted_abs);
+            self.dispatch(new_gi, parked, spec, incoming, submitted, now_ms)?;
         }
         Ok(())
     }
@@ -240,7 +242,7 @@ impl ThriftyService {
     /// loading, [`ThriftyError::NotDeployed`] if no live group can park it,
     /// and simulator errors from the bulk load.
     pub fn register_tenant(&mut self, tenant: Tenant) -> ThriftyResult<()> {
-        if self.tenant_info.contains_key(&tenant.id)
+        if self.tenants.contains_key(&tenant.id)
             || self.loads.keys().any(|&(_, t)| t == tenant.id)
             || self.deferred_regs.iter().any(|t| t.id == tenant.id)
         {
@@ -276,11 +278,13 @@ impl ThriftyService {
 
     /// Starts the bulk load that parks `tenant` on `park`'s tuning MPPDB.
     fn park_tenant(&mut self, tenant: Tenant, park: usize, now_ms: u64) -> ThriftyResult<()> {
-        let load = Load::Park {
+        let live = LiveTenant {
             tenant,
             group: park,
+            parked: true,
         };
-        self.bulk_load(self.groups[park].instances[0], tenant, load, now_ms)
+        let tuning = self.groups[park].instances[0];
+        self.bulk_load(tuning, tenant, Load::Park(live), now_ms)
     }
 
     /// Parks registrations that were deferred because every park candidate
@@ -335,11 +339,9 @@ impl ThriftyService {
             instance,
             tenant,
         });
-        if let Load::Park { tenant, group } = load {
-            self.tenant_info.insert(tenant.id, tenant);
-            self.tenant_group.insert(tenant.id, group);
-            self.groups[group].members.push(tenant);
-            self.parked.insert(tenant.id);
+        if let Load::Park(live) = load {
+            self.groups[live.group].members.push(live.tenant);
+            self.tenants.insert(tenant, live);
         }
     }
 
@@ -357,7 +359,7 @@ impl ThriftyService {
     ) -> ThriftyResult<()> {
         let Some(load) = self.loads.remove(&(instance, tenant)) else {
             // Orphaned load: reclaim the space.
-            if self.tenant_info.contains_key(&tenant) {
+            if self.tenants.contains_key(&tenant) {
                 return Ok(());
             }
             return self.drop_if_hosted(instance, tenant);
@@ -386,8 +388,8 @@ impl ThriftyService {
         let mut loading = None;
         self.loads.retain(|&(_, t), load| match load {
             _ if t != tenant => true,
-            Load::Park { tenant: info, .. } => {
-                loading = Some(*info);
+            Load::Park(live) => {
+                loading = Some(live.tenant);
                 false
             }
             Load::Build(_) => false,
@@ -399,20 +401,16 @@ impl ThriftyService {
         } else if let Some(info) = loading {
             info
         } else {
-            let Some(info) = self.tenant_info.remove(&tenant) else {
+            let Some(live) = self.tenants.remove(&tenant) else {
                 return Err(ThriftyError::UnknownTenant(tenant));
             };
-            if let Some(gi) = self.tenant_group.remove(&tenant) {
-                self.groups[gi].members.retain(|m| m.id != tenant);
-                // Reclaim the replica space wherever this group hosts the
-                // data.
-                for inst in self.groups[gi].instances.clone() {
-                    self.drop_if_hosted(inst, tenant)?;
-                }
+            self.groups[live.group].members.retain(|m| m.id != tenant);
+            // Reclaim the replica space wherever the group hosts the data.
+            for inst in self.groups[live.group].instances.clone() {
+                self.drop_if_hosted(inst, tenant)?;
             }
-            self.parked.remove(&tenant);
             self.scrub_from_cycle(tenant, now_ms)?;
-            info
+            live.tenant
         };
         let at_ms = self.log_ms(now_ms);
         self.telemetry
@@ -445,13 +443,12 @@ impl ThriftyService {
     /// group or deferred behind a cycle (cycles cannot start until these
     /// land).
     pub fn has_pending_registrations(&self) -> bool {
-        self.loads.values().any(|l| matches!(l, Load::Park { .. }))
-            || !self.deferred_regs.is_empty()
+        self.loads.values().any(|l| matches!(l, Load::Park(_))) || !self.deferred_regs.is_empty()
     }
 
     /// Whether a tenant is parked on a tuning MPPDB awaiting placement.
     pub fn is_parked(&self, tenant: TenantId) -> bool {
-        self.parked.contains(&tenant)
+        self.tenants.get(&tenant).is_some_and(|t| t.parked)
     }
 
     /// Starts executing a re-consolidation cycle. Replacement groups are
@@ -567,7 +564,7 @@ impl ThriftyService {
                 return invalid("cycle plan contains an empty or zero-sized build");
             }
             for m in &planned.members {
-                if !self.tenant_info.contains_key(&m.id) {
+                if !self.tenants.contains_key(&m.id) {
                     return invalid("cycle plan builds a group around an unknown tenant");
                 }
                 if !placed.insert(m.id) {
@@ -582,7 +579,7 @@ impl ThriftyService {
                 }
             }
         }
-        if placed.len() != self.tenant_info.len() {
+        if placed.len() != self.tenants.len() {
             return invalid("cycle plan does not cover every live tenant");
         }
         Ok(())
@@ -645,11 +642,11 @@ impl ThriftyService {
         );
         let new_gi = self.groups.len();
         for m in &members {
-            if let Some(&old_gi) = self.tenant_group.get(&m.id) {
-                self.groups[old_gi].members.retain(|t| t.id != m.id);
+            if let Some(live) = self.tenants.get_mut(&m.id) {
+                self.groups[live.group].members.retain(|t| t.id != m.id);
+                live.group = new_gi;
+                live.parked = false;
             }
-            self.tenant_group.insert(m.id, new_gi);
-            self.parked.remove(&m.id);
         }
         let at_ms = self.log_ms(now_ms);
         self.telemetry.record(TelemetryEvent::GroupCutover {

@@ -11,7 +11,7 @@
 //!
 //! Layout: `group.rs` owns each group's Algorithm 1 and RT-TTP state,
 //! `lifecycle.rs` moves tenants between groups, and this module keeps the
-//! event loop, query dispatch and the accounting.
+//! event loop, the one tenant table, query dispatch and the accounting.
 
 mod group;
 mod lifecycle;
@@ -35,7 +35,7 @@ use mppdb_sim::node::NodeId;
 use mppdb_sim::query::{QueryId, QuerySpec, QueryTemplate, TemplateId};
 use mppdb_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// RT-TTP trace sampling (for the Figure 7.7 time-series plots).
 ///
@@ -322,20 +322,31 @@ struct Inflight {
     placement: Placement,
 }
 
+/// A live (routable) tenant: its record, its serving group, and whether it
+/// is parked on that group's tuning MPPDB until a cycle places it.
+#[derive(Clone, Copy, PartialEq)]
+struct LiveTenant {
+    tenant: Tenant,
+    group: usize,
+    parked: bool,
+}
+
 /// The Thrifty MPPDBaaS service: deployment + run-time loop over the
 /// simulated cluster.
 pub struct ThriftyService {
     cluster: Cluster,
     config: ServiceConfig,
     templates: BTreeMap<TemplateId, QueryTemplate>,
-    tenant_info: BTreeMap<TenantId, Tenant>,
-    tenant_group: BTreeMap<TenantId, usize>,
+    /// The tenant table: one record per live tenant.
+    tenants: BTreeMap<TenantId, LiveTenant>,
     groups: Vec<GroupRuntime>,
     /// Keyed by a `BTreeMap` so every iteration (most importantly the
     /// scale-out migration sweep) visits queries in id order — replaying
     /// the same log twice reassigns identical query ids.
     inflight: BTreeMap<QueryId, Inflight>,
     records: Vec<SlaRecord>,
+    /// Records already moved out by [`Self::take_report`].
+    records_drained: usize,
     scaling_events: Vec<ScalingEvent>,
     ttp_trace: Vec<TtpSample>,
     next_trace_ms: u64,
@@ -349,9 +360,6 @@ pub struct ThriftyService {
     /// All log times are shifted by this offset: the deployment finishes
     /// provisioning first, then the observation horizon begins.
     offset_ms: u64,
-    /// Tenants registered at run time and still parked on a tuning MPPDB,
-    /// waiting for the next re-consolidation cycle to place them.
-    parked: BTreeSet<TenantId>,
     /// Bulk loads in progress, keyed by (instance, tenant): registrations
     /// parking on a tuning MPPDB (not routable until the load lands) and
     /// members loading onto the active cycle's builds.
@@ -392,11 +400,11 @@ impl ThriftyService {
             cluster,
             config,
             templates: templates.into_iter().map(|t| (t.id, t)).collect(),
-            tenant_info: BTreeMap::new(),
-            tenant_group: BTreeMap::new(),
+            tenants: BTreeMap::new(),
             groups: Vec::with_capacity(plan.groups.len()),
             inflight: BTreeMap::new(),
             records: Vec::new(),
+            records_drained: 0,
             scaling_events: Vec::new(),
             ttp_trace: Vec::new(),
             next_trace_ms: offset_ms,
@@ -404,7 +412,6 @@ impl ThriftyService {
             historical_ratios: BTreeMap::new(),
             meter: UsageMeter::new(),
             telemetry,
-            parked: BTreeSet::new(),
             loads: BTreeMap::new(),
             recon: None,
             deferred_regs: Vec::new(),
@@ -413,9 +420,13 @@ impl ThriftyService {
         };
         for (group_plan, instances) in plan.groups.iter().zip(deployment.instances.iter()) {
             let gi = service.groups.len();
-            for member in &group_plan.members {
-                service.tenant_info.insert(member.id, *member);
-                service.tenant_group.insert(member.id, gi);
+            for &tenant in &group_plan.members {
+                let live = LiveTenant {
+                    tenant,
+                    group: gi,
+                    parked: false,
+                };
+                service.tenants.insert(tenant.id, live);
             }
             let members = group_plan.members.clone();
             let node_size = group_plan.largest_request();
@@ -454,7 +465,7 @@ impl ThriftyService {
 
     /// The group currently serving a tenant.
     pub fn group_of(&self, tenant: TenantId) -> Option<usize> {
-        self.tenant_group.get(&tenant).copied()
+        self.tenants.get(&tenant).map(|t| t.group)
     }
 
     /// Replays a chronologically ordered sequence of queries and returns
@@ -496,21 +507,18 @@ impl ThriftyService {
     pub fn submit(&mut self, q: IncomingQuery) -> ThriftyResult<()> {
         let at =
             SimTime::from_ms((q.submit.as_ms() + self.offset_ms).max(self.cluster.now().as_ms()));
+        // Look up after the advance: a park load landing at `at` counts.
         self.advance_to(at)?;
-        let tenant = *self
-            .tenant_info
-            .get(&q.tenant)
-            .ok_or(ThriftyError::UnknownTenant(q.tenant))?;
-        let gi = *self
-            .tenant_group
+        let live = *self
+            .tenants
             .get(&q.tenant)
             .ok_or(ThriftyError::UnknownTenant(q.tenant))?;
         let template = *self
             .templates
             .get(&q.template)
             .ok_or(ThriftyError::UnknownTemplate(q.template))?;
-        let spec = QuerySpec::new(template, tenant.data_gb, tenant.id);
-        self.dispatch(gi, spec, q, at, at.as_ms())?;
+        let spec = QuerySpec::new(template, live.tenant.data_gb, q.tenant);
+        self.dispatch(live.group, live.parked, spec, q, at, at.as_ms())?;
         self.meter.on_query_start(q.tenant, at.as_ms());
         Ok(())
     }
@@ -556,11 +564,11 @@ impl ThriftyService {
         tariff: &Tariff,
         billing_days: f64,
     ) -> ThriftyResult<Invoice> {
-        let info = self
-            .tenant_info
+        let live = self
+            .tenants
             .get(&tenant)
             .ok_or(ThriftyError::UnknownTenant(tenant))?;
-        Ok(self.meter.invoice(info, tariff, billing_days))
+        Ok(self.meter.invoice(&live.tenant, tariff, billing_days))
     }
 
     /// The observed per-tenant activity ratios since the deployment went
@@ -597,6 +605,11 @@ impl ThriftyService {
     /// The SLA records produced so far, in completion order.
     pub fn records(&self) -> &[SlaRecord] {
         &self.records
+    }
+
+    /// SLA records produced since deployment, drained ones included.
+    pub(crate) fn records_produced(&self) -> usize {
+        self.records_drained + self.records.len()
     }
 
     /// Processes all outstanding simulator work (lets every running query
@@ -779,6 +792,7 @@ impl ThriftyService {
     /// [`Self::drain`] that is the normal state.
     fn take_report(&mut self) -> ServiceReport {
         let records = std::mem::take(&mut self.records);
+        self.records_drained += records.len();
         let summary = SlaSummary::from_records(&records);
         let scaling_pending = self.groups.iter().any(|g| g.pending_scale.is_some());
         let scaling_events = if scaling_pending {
@@ -917,20 +931,21 @@ impl ThriftyService {
         }
     }
 
-    /// Dispatches `spec` to group `gi` at `now_ms`, records the submission
-    /// and its routing decision, and tracks the query until it completes.
+    /// Dispatches `spec` to group `gi` at `now_ms` (straight to its tuning
+    /// MPPDB when the tenant is `parked`), records the submission and its
+    /// routing decision, and tracks the query until it completes.
     /// `incoming` and `submitted_abs` describe the tenant's first
     /// submission (see [`Inflight`]).
     fn dispatch(
         &mut self,
         gi: usize,
+        parked: bool,
         spec: QuerySpec,
         incoming: IncomingQuery,
         submitted_abs: SimTime,
         now_ms: u64,
     ) -> ThriftyResult<()> {
         let tenant = incoming.tenant;
-        let parked = self.parked.contains(&tenant);
         let (query, placement) =
             self.groups[gi].dispatch(&mut self.cluster, spec, parked, now_ms)?;
         let at_ms = self.log_ms(now_ms);
@@ -1036,7 +1051,7 @@ impl ThriftyService {
             .max(self.offset_ms);
         let horizon = now.saturating_sub(start).max(1);
         let mut per_tenant: BTreeMap<TenantId, Vec<(u64, u64)>> =
-            self.tenant_info.keys().map(|&t| (t, Vec::new())).collect();
+            self.tenants.keys().map(|&t| (t, Vec::new())).collect();
         for (gi, group) in self.groups.iter().enumerate() {
             if group.retired {
                 continue;
@@ -1045,7 +1060,7 @@ impl ThriftyService {
                 // Only the group currently *serving* the tenant contributes;
                 // a drained old group's residual intervals would double
                 // count the tenant's activity.
-                if self.tenant_group.get(&tenant) != Some(&gi) {
+                if self.group_of(tenant) != Some(gi) {
                     continue;
                 }
                 let Some(out) = per_tenant.get_mut(&tenant) else {
@@ -1062,7 +1077,7 @@ impl ThriftyService {
         }
         let activity = per_tenant
             .into_iter()
-            .map(|(t, iv)| TenantHistory::new(self.tenant_info[&t], iv))
+            .map(|(t, iv)| TenantHistory::new(self.tenants[&t].tenant, iv))
             .collect();
         (activity, horizon)
     }
@@ -1097,7 +1112,7 @@ impl ThriftyService {
 
     /// Ids of all live (routable) tenants, ascending.
     pub fn live_tenants(&self) -> Vec<TenantId> {
-        self.tenant_info.keys().copied().collect()
+        self.tenants.keys().copied().collect()
     }
 
     /// The tenants group `gi` currently serves (ids ascending).
@@ -1299,6 +1314,36 @@ mod tests {
             .collect();
         let now = s.log_now().as_ms();
         assert_eq!(loads, [(false, now), (true, now)]);
+    }
+
+    #[test]
+    fn submit_at_the_park_load_instant_routes_as_parked() {
+        // The park load lands exactly at the submission instant: `submit`
+        // must deliver it before looking the tenant up.
+        let mut s = service(2, false);
+        let id = TenantId(7);
+        s.register_tenant(Tenant::new(id, 2, 10.0)).unwrap();
+        let landed = s.cluster().peek_next_event_time().unwrap();
+        let at = SimTime::from_ms(landed.as_ms() - s.log_epoch().as_ms());
+        // Tenant 0 keeps MPPDB_0 busy, so Algorithm 1 would pick MPPDB_1.
+        s.submit(q(0, at.as_ms() / 1_000 - 1, 60_000)).unwrap();
+        assert!(!s.is_parked(id));
+        s.submit(IncomingQuery {
+            submit: at,
+            ..q(7, 0, 60_000)
+        })
+        .unwrap();
+        assert!(s.is_parked(id));
+        let routed = s.report().telemetry.events.iter().find_map(|e| match *e {
+            TelemetryEvent::QueryRouted {
+                tenant,
+                mppdb,
+                kind,
+                ..
+            } if tenant == id => Some((mppdb, kind)),
+            _ => None,
+        });
+        assert_eq!(routed, Some((0, RouteKind::TuningFree)));
     }
 
     #[test]

@@ -145,7 +145,8 @@ pub struct ReconSection {
 /// Event-loop pacing.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DaemonSection {
-    /// Wall-clock tick granularity in ms (idle sleep between loop turns).
+    /// The wall-clock daemon's tick and poll timeout, in ms; `--sim-clock`
+    /// daemons never wake on it.
     pub tick_ms: u64,
 }
 

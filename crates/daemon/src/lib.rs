@@ -6,7 +6,10 @@
 //! [`thrifty::service::ThriftyService`] plus its
 //! [`Reconsolidator`](thrifty::reconsolidation::Reconsolidator) behind a
 //! [`ClockSource`](thrifty::clock::ClockSource) adapter and drives them
-//! from a single-threaded event loop:
+//! from a single-threaded event loop ([`server`]) that sleeps only in
+//! `poll(2)`, after a short busy-poll window that follows every event:
+//! an idle `--sim-clock` daemon wakes only on socket I/O or `SIGHUP`, a
+//! wall-clock one also every `daemon.tick_ms`.
 //!
 //! * **Clock adapter** — the core stays clock-free (lint rule L2); this
 //!   crate is the one place allowed to read ambient time. The daemon runs
@@ -18,8 +21,11 @@
 //!   ([`protocol`]): `status`, `tenant register`/`deregister`, `cutover
 //!   status`, `telemetry` (the full
 //!   [`TelemetrySnapshot`](thrifty::telemetry::TelemetrySnapshot)),
-//!   `reload`, `stop`.
-//! * **Config hot-reload** — on `SIGHUP` or a `reload` request the daemon
+//!   `reload`, `stop`. Replies go out nonblocking, so a peer that stops
+//!   reading stalls only its own connection, and a request line is capped
+//!   at [`server::MAX_LINE_BYTES`].
+//! * **Config hot-reload** — on `SIGHUP` (whose handler wakes the loop
+//!   through a self-pipe, [`signal`]) or a `reload` request the daemon
 //!   re-reads its JSON config ([`config::DaemonConfig`]), re-validates the
 //!   service section through `ServiceConfigBuilder`, applies the safe
 //!   knob subset via

@@ -263,7 +263,9 @@ pub struct RejectedSection {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireError {
     /// Stable machine-readable kind (e.g. `invalid-config`, `clock`,
-    /// `parse`).
+    /// `parse`). `overload` answers a request line longer than
+    /// [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES); the daemon sends
+    /// it once and then closes that connection.
     pub kind: String,
     /// Human-readable description.
     pub message: String,

@@ -298,7 +298,8 @@ impl DaemonCore {
         if candidate.daemon != self.config.daemon {
             refuse(
                 "daemon",
-                "event-loop pacing is fixed at startup; restart to change tick_ms",
+                "the wall-clock tick and poll timeout are fixed at startup; restart to \
+                 change tick_ms",
             );
         }
 

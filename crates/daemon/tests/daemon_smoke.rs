@@ -4,13 +4,20 @@
 //! drains and exits 0. The full round trip runs under `--sim-clock`
 //! (bulk loads take ~100 log-seconds, which `quiesce` crosses
 //! instantly); a second test proves the wall-clock daemon serves and
-//! rejects manual time.
+//! rejects manual time. The rest pin the event loop: an idle daemon
+//! sleeps in `poll`, `SIGHUP` wakes it, a peer that stops reading or
+//! sends an over-long line costs only its own connection.
 
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 use thrifty_daemon::client::DaemonClient;
 use thrifty_daemon::config::DaemonConfig;
 use thrifty_daemon::error::DaemonError;
+use thrifty_daemon::protocol::{decode_line, Envelope, Reply};
+use thrifty_daemon::server::MAX_LINE_BYTES;
 
 /// Kills the daemon on drop so a failing assertion cannot leak a
 /// process or a socket.
@@ -59,7 +66,7 @@ impl TestBed {
             .arg("--socket")
             .arg(&self.socket)
             .stdout(Stdio::null())
-            .stderr(Stdio::null());
+            .stderr(std::fs::File::create(self.stderr_path()).expect("stderr log"));
         if sim_clock {
             cmd.arg("--sim-clock");
         }
@@ -71,6 +78,51 @@ impl TestBed {
     fn connect(&self) -> DaemonClient {
         DaemonClient::connect_with_retry(&self.socket, 200, 25).expect("daemon comes up")
     }
+
+    /// A raw connection that fails any read or write stuck for 5 s.
+    fn connect_raw(&self) -> UnixStream {
+        let stream = UnixStream::connect(&self.socket).expect("daemon is serving");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+            .set_write_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+    }
+
+    fn stderr_path(&self) -> PathBuf {
+        self.dir.join("stderr.log")
+    }
+}
+
+/// Reads one envelope line off a raw connection.
+fn read_envelope(reader: &mut impl BufRead) -> Envelope {
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("answer within 5 s");
+    assert!(n > 0, "daemon closed the connection before answering");
+    decode_line(&line).expect("envelope line")
+}
+
+/// The daemon's voluntary context switches so far, when `/proc` has them.
+fn voluntary_switches(pid: u32) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+        .and_then(|v| v.trim().parse().ok())
+}
+
+/// The daemon's CPU time so far (user + system) in clock ticks, when
+/// `/proc` has it.
+fn cpu_ticks(pid: u32) -> Option<u64> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // Fields after the parenthesised command name: state is the first,
+    // utime the twelfth, stime the thirteenth.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some(utime + stime)
 }
 
 impl Drop for TestBed {
@@ -234,5 +286,141 @@ fn a_live_socket_refuses_a_second_daemon() {
     );
 
     client.ping().expect("first daemon unaffected");
+    stop_and_reap(&mut client, &bed, guard);
+}
+
+#[test]
+fn an_idle_sim_clock_daemon_sleeps_in_poll() {
+    let bed = TestBed::new("idle");
+    bed.write_config(&base_config());
+    let guard = bed.start(true);
+    let mut client = bed.connect();
+    client.ping().expect("ping");
+
+    let pid = guard.child.id();
+    let (Some(before), Some(cpu_before)) = (voluntary_switches(pid), cpu_ticks(pid)) else {
+        eprintln!("skipping: /proc/{pid} has no voluntary_ctxt_switches or CPU times");
+        stop_and_reap(&mut client, &bed, guard);
+        return;
+    };
+    std::thread::sleep(Duration::from_millis(300));
+    let after = voluntary_switches(pid).expect("the daemon is still running");
+    assert!(
+        after - before < 10,
+        "an idle sim-clock daemon woke {} times in 300 ms",
+        after - before
+    );
+    // The busy-poll window after the ping must end: a loop that never
+    // blocks makes no voluntary switch but burns the whole 300 ms.
+    let cpu = cpu_ticks(pid).expect("the daemon is still running") - cpu_before;
+    assert!(
+        cpu < 5,
+        "an idle sim-clock daemon used {cpu} clock ticks of CPU in 300 ms"
+    );
+    stop_and_reap(&mut client, &bed, guard);
+}
+
+#[test]
+fn sighup_wakes_an_idle_sim_clock_daemon_to_reload() {
+    let bed = TestBed::new("sighup");
+    let cfg = base_config();
+    bed.write_config(&cfg);
+    let guard = bed.start(true);
+    // Connecting proves the socket is bound, and the handler is
+    // installed before that; no request is sent before the signal.
+    let mut client = bed.connect();
+
+    let mut edited = cfg.clone();
+    edited.service.sla_p = 0.99;
+    bed.write_config(&edited);
+    let kill = Command::new("kill")
+        .arg("-HUP")
+        .arg(guard.child.id().to_string())
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let log = std::fs::read_to_string(bed.stderr_path()).unwrap_or_default();
+        if log.contains("thriftyd: SIGHUP reload:") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no SIGHUP reload within 5 s; stderr: {log}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!((client.status().expect("status").service.sla_p - 0.99).abs() < 1e-12);
+    stop_and_reap(&mut client, &bed, guard);
+}
+
+#[test]
+fn a_peer_that_stops_reading_stalls_only_itself() {
+    const PIPELINED: usize = 3_000;
+    let bed = TestBed::new("stall");
+    bed.write_config(&base_config());
+    let guard = bed.start(true);
+    // The first client stays connected, so no connection closes and
+    // reorders the daemon's service list.
+    let mut client = bed.connect();
+    client.ping().expect("ping");
+
+    // A pipelines thousands of large answers and reads none of them, so
+    // its socket fills long before the daemon gets to the final ping.
+    let mut a = bed.connect_raw();
+    let mut lines = "\"Telemetry\"\n".repeat(PIPELINED);
+    lines.push_str("\"Ping\"\n");
+    a.write_all(lines.as_bytes())
+        .expect("pipeline the requests");
+
+    // A was accepted first, so the daemon services it before B.
+    let b = bed.connect_raw();
+    (&b).write_all(b"\"Ping\"\n").unwrap();
+    let answer = read_envelope(&mut BufReader::new(&b));
+    assert_eq!(answer.into_reply().expect("ok"), Reply::Pong);
+
+    let mut reader = BufReader::new(&a);
+    for i in 0..PIPELINED {
+        let answer = read_envelope(&mut reader);
+        assert!(
+            matches!(answer.into_reply(), Ok(Reply::Telemetry(_))),
+            "answer {i} must be an ok telemetry snapshot"
+        );
+    }
+    assert_eq!(
+        read_envelope(&mut reader).into_reply().expect("ok"),
+        Reply::Pong
+    );
+
+    stop_and_reap(&mut client, &bed, guard);
+}
+
+#[test]
+fn an_over_long_line_gets_overload_and_closes_only_its_connection() {
+    let bed = TestBed::new("overload");
+    bed.write_config(&base_config());
+    let guard = bed.start(true);
+    let mut client = bed.connect();
+    client.ping().expect("ping");
+
+    let mut a = bed.connect_raw();
+    // The daemon closes A once the line passes the cap, so the rest of
+    // this write may fail with a broken pipe.
+    let _ = a.write_all(&vec![b'x'; 2 * MAX_LINE_BYTES]);
+    let mut reader = BufReader::new(&a);
+    match read_envelope(&mut reader).into_reply() {
+        Err(DaemonError::Remote { kind, .. }) => assert_eq!(kind, "overload"),
+        other => panic!("an over-long line must get `overload`, got {other:?}"),
+    }
+    let mut rest = String::new();
+    match reader.read_line(&mut rest) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("the daemon must close A after `overload`, got {other:?} {rest:?}"),
+    }
+
+    client.ping().expect("other connections keep being served");
     stop_and_reap(&mut client, &bed, guard);
 }

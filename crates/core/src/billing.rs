@@ -8,11 +8,20 @@
 //! notion of activity the router and monitor use). Combined with the
 //! consolidation report, it also answers the provider-side question: what
 //! margin does consolidation create over dedicated hardware?
+//!
+//! The meter is one record per tenant, `TenantUsage`, fed the same query
+//! start/finish stream the monitor sees. Activity is counted once per
+//! tenant regardless of intra-tenant concurrency (a batch of ten
+//! concurrent queries bills the same wall-span as one query covering it —
+//! the tenant pays for *being active*, its MPL is its own business,
+//! exactly mirroring the paper's load-balancing stance). The service keeps
+//! one record in each slot of its tenant table, next to the tenant's live
+//! record, so metering a query costs no search; slots are never freed, so
+//! a tenant's usage survives deregistration and re-registration.
 
 use crate::error::{ThriftyError, ThriftyResult};
 use crate::tenant::{Tenant, TenantId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Tariff parameters. Currency units are abstract ("credits").
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -35,8 +44,8 @@ impl Default for Tariff {
 }
 
 /// Accumulated billing state for one tenant.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct TenantUsage {
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TenantUsage {
     /// Total milliseconds with at least one query executing.
     active_ms: u64,
     /// Number of queries completed.
@@ -47,92 +56,59 @@ struct TenantUsage {
     active_since: u64,
 }
 
-/// Meters per-tenant activity and produces invoices.
-///
-/// Feed it the same query start/finish stream the monitor sees; activity is
-/// counted once per tenant regardless of intra-tenant concurrency (a batch
-/// of ten concurrent queries bills the same wall-span as one query covering
-/// it — the tenant pays for *being active*, its MPL is its own business,
-/// exactly mirroring the paper's load-balancing stance).
-#[derive(Clone, Debug, Default)]
-pub struct UsageMeter {
-    /// Ordered map: invoices and activity reports drain this in tenant-id
-    /// order (lint rule L1).
-    usage: BTreeMap<TenantId, TenantUsage>,
-}
-
-impl UsageMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        UsageMeter::default()
-    }
-
-    /// Records a query start for `tenant` at `now_ms`.
-    pub fn on_query_start(&mut self, tenant: TenantId, now_ms: u64) {
-        let u = self.usage.entry(tenant).or_default();
-        if u.running == 0 {
-            u.active_since = now_ms;
+impl TenantUsage {
+    /// Records a query start at `now_ms`.
+    pub(crate) fn on_query_start(&mut self, now_ms: u64) {
+        if self.running == 0 {
+            self.active_since = now_ms;
         }
-        u.running += 1;
+        self.running += 1;
     }
 
-    /// Records a query completion for `tenant` at `now_ms`.
+    /// Records a query completion of `tenant` (this record's owner) at
+    /// `now_ms`.
     ///
     /// # Errors
     /// [`ThriftyError::NoRunningQuery`] if the tenant has no running query.
-    pub fn on_query_finish(&mut self, tenant: TenantId, now_ms: u64) -> ThriftyResult<()> {
-        let meter_error = ThriftyError::NoRunningQuery {
-            component: "meter",
-            tenant,
-        };
-        let Some(u) = self.usage.get_mut(&tenant) else {
-            return Err(meter_error);
-        };
-        if u.running == 0 {
-            return Err(meter_error);
+    pub(crate) fn on_query_finish(&mut self, tenant: TenantId, now_ms: u64) -> ThriftyResult<()> {
+        if self.running == 0 {
+            return Err(ThriftyError::NoRunningQuery {
+                component: "meter",
+                tenant,
+            });
         }
-        u.running -= 1;
-        u.queries += 1;
-        if u.running == 0 {
-            u.active_ms += now_ms.saturating_sub(u.active_since);
+        self.running -= 1;
+        self.queries += 1;
+        if self.running == 0 {
+            self.active_ms += now_ms.saturating_sub(self.active_since);
         }
         Ok(())
     }
 
-    /// Total active milliseconds accumulated for a tenant (closed intervals
-    /// only; an open interval is counted when it closes).
-    pub fn active_ms(&self, tenant: TenantId) -> u64 {
-        self.usage.get(&tenant).map_or(0, |u| u.active_ms)
+    /// Whether a query of the tenant ever started. A query that started is
+    /// either still running or completed, so a metered tenant stays
+    /// metered; activity reports list exactly these tenants.
+    pub(crate) fn metered(&self) -> bool {
+        self.running > 0 || self.queries > 0
     }
 
-    /// Completed query count for a tenant.
-    pub fn query_count(&self, tenant: TenantId) -> u64 {
-        self.usage.get(&tenant).map_or(0, |u| u.queries)
+    /// Total active milliseconds (closed intervals only; an open interval
+    /// is counted when it closes).
+    pub(crate) fn active_ms(&self) -> u64 {
+        self.active_ms
     }
 
-    /// Every metered tenant's total active milliseconds, sorted by tenant
-    /// id. Open activity intervals are not included (they are counted when
-    /// they close).
-    pub fn all_active_ms(&self) -> Vec<(TenantId, u64)> {
-        let mut out: Vec<(TenantId, u64)> =
-            self.usage.iter().map(|(&t, u)| (t, u.active_ms)).collect();
-        out.sort_unstable_by_key(|&(t, _)| t);
-        out
-    }
-
-    /// Produces the invoice for a tenant over `billing_days` days.
-    pub fn invoice(&self, tenant: &Tenant, tariff: &Tariff, billing_days: f64) -> Invoice {
-        let active_ms = self.active_ms(tenant.id);
-        let subscription = tariff.node_day_price * f64::from(tenant.nodes) * billing_days;
-        let usage =
-            tariff.active_node_second_price * f64::from(tenant.nodes) * (active_ms as f64 / 1000.0);
+    /// The invoice for `tenant` (this record's owner) over `billing_days`
+    /// days.
+    pub(crate) fn invoice(&self, tenant: &Tenant, tariff: &Tariff, billing_days: f64) -> Invoice {
+        let nodes = f64::from(tenant.nodes);
         Invoice {
             tenant: tenant.id,
             requested_nodes: tenant.nodes,
-            active_ms,
-            queries: self.query_count(tenant.id),
-            subscription,
-            usage,
+            active_ms: self.active_ms,
+            queries: self.queries,
+            subscription: tariff.node_day_price * nodes * billing_days,
+            usage: tariff.active_node_second_price * nodes * (self.active_ms as f64 / 1000.0),
         }
     }
 }
@@ -204,24 +180,27 @@ mod tests {
 
     #[test]
     fn activity_is_metered_per_tenant_not_per_query() {
-        let mut m = UsageMeter::new();
+        let mut m = TenantUsage::default();
+        assert!(!m.metered());
         // Two overlapping queries: active span is their union.
-        m.on_query_start(T0, 0);
-        m.on_query_start(T0, 500);
+        m.on_query_start(0);
+        assert!(m.metered());
+        m.on_query_start(500);
         m.on_query_finish(T0, 800).unwrap();
         m.on_query_finish(T0, 1_000).unwrap();
-        assert_eq!(m.active_ms(T0), 1_000);
-        assert_eq!(m.query_count(T0), 2);
+        assert_eq!(m.active_ms(), 1_000);
+        assert_eq!(m.queries, 2);
         // A later, disjoint query adds its own span.
-        m.on_query_start(T0, 5_000);
+        m.on_query_start(5_000);
         m.on_query_finish(T0, 5_400).unwrap();
-        assert_eq!(m.active_ms(T0), 1_400);
+        assert_eq!(m.active_ms(), 1_400);
+        assert!(m.metered());
     }
 
     #[test]
     fn invoice_combines_subscription_and_usage() {
-        let mut m = UsageMeter::new();
-        m.on_query_start(T0, 0);
+        let mut m = TenantUsage::default();
+        m.on_query_start(0);
         m.on_query_finish(T0, 10_000).unwrap(); // 10 s active
         let tenant = Tenant::new(T0, 4, 400.0);
         let invoice = m.invoice(&tenant, &Tariff::default(), 30.0);
@@ -234,7 +213,7 @@ mod tests {
 
     #[test]
     fn idle_tenant_pays_subscription_only() {
-        let m = UsageMeter::new();
+        let m = TenantUsage::default();
         let tenant = Tenant::new(T0, 2, 200.0);
         let invoice = m.invoice(&tenant, &Tariff::default(), 30.0);
         assert_eq!(invoice.active_ms, 0);
@@ -253,7 +232,7 @@ mod tests {
 
     #[test]
     fn unbalanced_finish_is_an_error() {
-        let mut m = UsageMeter::new();
+        let mut m = TenantUsage::default();
         assert!(matches!(
             m.on_query_finish(T0, 10),
             Err(ThriftyError::NoRunningQuery {

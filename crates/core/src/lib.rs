@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::advisor::{
         Advice, AdvisorConfig, DeploymentAdvisor, ExclusionPolicy, GroupingAlgorithm,
     };
-    pub use crate::billing::{Invoice, ProviderEconomics, Tariff, UsageMeter};
+    pub use crate::billing::{Invoice, ProviderEconomics, Tariff};
     pub use crate::bursts::{Burst, BurstDetector, RecurringBurst};
     pub use crate::clock::{ClockSource, SimClock};
     pub use crate::design::{DeploymentPlan, TenantGroupPlan};

@@ -9,10 +9,16 @@
 //!
 //! The monitor also records each tenant's busy intervals inside the window
 //! — the input to over-active-tenant identification.
+//!
+//! Per query the bookkeeping is constant-time: closed busy intervals of
+//! every tenant share one queue in closing order. Event times are monotone,
+//! so ends arrive in order and the window slides by popping the front;
+//! [`GroupActivityMonitor::window_activity`], read only by the scaling and
+//! re-consolidation paths, groups the intervals per tenant when called.
 
 use crate::error::{ThriftyError, ThriftyResult};
 use crate::tenant::TenantId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Sliding-window activity monitor for one tenant-group.
 #[derive(Clone, Debug)]
@@ -32,8 +38,9 @@ pub struct GroupActivityMonitor {
     /// busy interval. Ordered maps: monitor state feeds the deterministic
     /// replay (lint rule L1).
     running: BTreeMap<TenantId, (u32, u64)>,
-    /// Closed per-tenant busy intervals, oldest first.
-    tenant_busy: BTreeMap<TenantId, VecDeque<(u64, u64)>>,
+    /// Closed busy intervals `(tenant, start, end)` of every tenant, in
+    /// closing order (so ends ascend).
+    busy: VecDeque<(TenantId, u64, u64)>,
 }
 
 impl GroupActivityMonitor {
@@ -51,7 +58,7 @@ impl GroupActivityMonitor {
             violations: VecDeque::new(),
             open_violation: None,
             running: BTreeMap::new(),
-            tenant_busy: BTreeMap::new(),
+            busy: VecDeque::new(),
         }
     }
 
@@ -92,10 +99,7 @@ impl GroupActivityMonitor {
             let start = *start;
             self.running.remove(&tenant);
             if now_ms > start {
-                self.tenant_busy
-                    .entry(tenant)
-                    .or_default()
-                    .push_back((start, now_ms));
+                self.busy.push_back((tenant, start, now_ms));
             }
             if self.running.len() as u32 == self.r {
                 if let Some(vstart) = self.open_violation.take() {
@@ -115,12 +119,9 @@ impl GroupActivityMonitor {
         while matches!(self.violations.front(), Some(&(_, e)) if e <= cutoff) {
             self.violations.pop_front();
         }
-        for busy in self.tenant_busy.values_mut() {
-            while matches!(busy.front(), Some(&(_, e)) if e <= cutoff) {
-                busy.pop_front();
-            }
+        while matches!(self.busy.front(), Some(&(_, _, e)) if e <= cutoff) {
+            self.busy.pop_front();
         }
-        self.tenant_busy.retain(|_, v| !v.is_empty());
     }
 
     /// Length (ms) of the observed window at `now_ms`: the sliding window
@@ -162,35 +163,21 @@ impl GroupActivityMonitor {
     /// window are omitted.
     pub fn window_activity(&self, now_ms: u64) -> Vec<(TenantId, Vec<(u64, u64)>)> {
         let window_start = now_ms.saturating_sub(self.window_ms).max(self.started_at);
-        let mut out: Vec<(TenantId, Vec<(u64, u64)>)> = Vec::new();
-        let tenants: BTreeSet<TenantId> = self
-            .tenant_busy
-            .keys()
-            .chain(self.running.keys())
-            .copied()
-            .collect();
-        for t in tenants {
-            let mut iv: Vec<(u64, u64)> = Vec::new();
-            if let Some(closed) = self.tenant_busy.get(&t) {
-                for &(s, e) in closed {
-                    let s = s.max(window_start);
-                    let e = e.min(now_ms);
-                    if e > s {
-                        iv.push((s, e));
-                    }
-                }
-            }
-            if let Some(&(_, s)) = self.running.get(&t) {
-                let s = s.max(window_start);
-                if now_ms > s {
-                    iv.push((s, now_ms));
-                }
-            }
-            if !iv.is_empty() {
-                out.push((t, iv));
+        let mut per_tenant: BTreeMap<TenantId, Vec<(u64, u64)>> = BTreeMap::new();
+        for &(t, s, e) in &self.busy {
+            let s = s.max(window_start);
+            let e = e.min(now_ms);
+            if e > s {
+                per_tenant.entry(t).or_default().push((s, e));
             }
         }
-        out
+        for (&t, &(_, s)) in &self.running {
+            let s = s.max(window_start);
+            if now_ms > s {
+                per_tenant.entry(t).or_default().push((s, now_ms));
+            }
+        }
+        per_tenant.into_iter().collect()
     }
 }
 
@@ -294,6 +281,220 @@ mod tests {
         let acts = m.window_activity(2_000);
         // The [0,100) interval left the window [1000, 2000).
         assert_eq!(acts, vec![(T1, vec![(1_900, 1_950)])]);
+    }
+
+    /// The per-tenant-map monitor this one replaced: one deque of closed
+    /// busy intervals per tenant, every deque walked on every start and
+    /// finish.
+    struct OracleMonitor {
+        r: u32,
+        window_ms: u64,
+        started_at: u64,
+        violations: VecDeque<(u64, u64)>,
+        open_violation: Option<u64>,
+        running: BTreeMap<TenantId, (u32, u64)>,
+        tenant_busy: BTreeMap<TenantId, VecDeque<(u64, u64)>>,
+    }
+
+    impl OracleMonitor {
+        fn new(r: u32, window_ms: u64, now_ms: u64) -> Self {
+            OracleMonitor {
+                r,
+                window_ms,
+                started_at: now_ms,
+                violations: VecDeque::new(),
+                open_violation: None,
+                running: BTreeMap::new(),
+                tenant_busy: BTreeMap::new(),
+            }
+        }
+
+        fn on_query_start(&mut self, tenant: TenantId, now_ms: u64) {
+            let (count, _) = self.running.entry(tenant).or_insert((0, now_ms));
+            *count += 1;
+            if *count == 1
+                && self.running.len() as u32 == self.r + 1
+                && self.open_violation.is_none()
+            {
+                self.open_violation = Some(now_ms);
+            }
+            self.prune(now_ms);
+        }
+
+        fn on_query_finish(&mut self, tenant: TenantId, now_ms: u64) -> ThriftyResult<()> {
+            let Some((count, start)) = self.running.get_mut(&tenant) else {
+                return Err(ThriftyError::NoRunningQuery {
+                    component: "monitor",
+                    tenant,
+                });
+            };
+            *count -= 1;
+            if *count == 0 {
+                let start = *start;
+                self.running.remove(&tenant);
+                if now_ms > start {
+                    self.tenant_busy
+                        .entry(tenant)
+                        .or_default()
+                        .push_back((start, now_ms));
+                }
+                if self.running.len() as u32 == self.r {
+                    if let Some(vstart) = self.open_violation.take() {
+                        if now_ms > vstart {
+                            self.violations.push_back((vstart, now_ms));
+                        }
+                    }
+                }
+            }
+            self.prune(now_ms);
+            Ok(())
+        }
+
+        fn prune(&mut self, now_ms: u64) {
+            let cutoff = now_ms.saturating_sub(self.window_ms);
+            while matches!(self.violations.front(), Some(&(_, e)) if e <= cutoff) {
+                self.violations.pop_front();
+            }
+            for busy in self.tenant_busy.values_mut() {
+                while matches!(busy.front(), Some(&(_, e)) if e <= cutoff) {
+                    busy.pop_front();
+                }
+            }
+            self.tenant_busy.retain(|_, v| !v.is_empty());
+        }
+
+        fn rt_ttp(&self, now_ms: u64) -> f64 {
+            let window_start = now_ms.saturating_sub(self.window_ms).max(self.started_at);
+            let observed = now_ms.saturating_sub(window_start);
+            if observed == 0 {
+                return 1.0;
+            }
+            let mut violated = 0u64;
+            for &(s, e) in &self.violations {
+                let s = s.max(window_start);
+                let e = e.min(now_ms);
+                if e > s {
+                    violated += e - s;
+                }
+            }
+            if let Some(vstart) = self.open_violation {
+                let s = vstart.max(window_start);
+                if now_ms > s {
+                    violated += now_ms - s;
+                }
+            }
+            1.0 - violated as f64 / observed as f64
+        }
+
+        fn window_activity(&self, now_ms: u64) -> Vec<(TenantId, Vec<(u64, u64)>)> {
+            let window_start = now_ms.saturating_sub(self.window_ms).max(self.started_at);
+            let tenants: std::collections::BTreeSet<TenantId> = self
+                .tenant_busy
+                .keys()
+                .chain(self.running.keys())
+                .copied()
+                .collect();
+            let mut out = Vec::new();
+            for t in tenants {
+                let mut iv: Vec<(u64, u64)> = Vec::new();
+                for &(s, e) in self.tenant_busy.get(&t).into_iter().flatten() {
+                    let s = s.max(window_start);
+                    let e = e.min(now_ms);
+                    if e > s {
+                        iv.push((s, e));
+                    }
+                }
+                if let Some(&(_, s)) = self.running.get(&t) {
+                    let s = s.max(window_start);
+                    if now_ms > s {
+                        iv.push((s, now_ms));
+                    }
+                }
+                if !iv.is_empty() {
+                    out.push((t, iv));
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn matches_the_per_tenant_map_oracle_on_random_interleavings() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x0000_7777_A11D);
+        // How often the three edge cases occurred, so the test fails if the
+        // generator stops producing them.
+        let (mut same_instant_closes, mut zero_length, mut slid_out) = (0u32, 0u32, 0u32);
+        for case in 0..300 {
+            let r = rng.gen_range(0u32..=3);
+            let window_ms = rng.gen_range(1u64..=60);
+            let started_at = rng.gen_range(0u64..20);
+            let mut m = GroupActivityMonitor::new(r, window_ms, started_at);
+            let mut o = OracleMonitor::new(r, window_ms, started_at);
+            let mut now = started_at;
+            // Tenants with a query in flight, one entry per query.
+            let mut running: Vec<TenantId> = Vec::new();
+            let mut closed_at_now = 0u32;
+            for step in 0..150 {
+                // Half the steps keep the clock still: starts and finishes at
+                // the same instant.
+                if rng.gen_bool(0.5) {
+                    now += rng.gen_range(1u64..=25);
+                    closed_at_now = 0;
+                }
+                let ctx = format!("case {case} step {step} (R = {r}, window {window_ms})");
+                let roll = rng.gen_range(0u32..10);
+                if roll < 5 {
+                    let t = TenantId(rng.gen_range(0u32..6));
+                    m.on_query_start(t, now);
+                    o.on_query_start(t, now);
+                    running.push(t);
+                } else if roll < 9 && !running.is_empty() {
+                    let t = running.swap_remove(rng.gen_range(0..running.len()));
+                    let before = m.busy.len();
+                    let opened = m.running.get(&t).map(|&(_, s)| s);
+                    assert_eq!(m.on_query_finish(t, now), Ok(()), "{ctx}");
+                    assert_eq!(o.on_query_finish(t, now), Ok(()), "{ctx}");
+                    if !m.running.contains_key(&t) {
+                        if opened == Some(now) {
+                            zero_length += 1;
+                        } else {
+                            closed_at_now += 1;
+                            if closed_at_now >= 2 {
+                                same_instant_closes += 1;
+                            }
+                        }
+                    }
+                    if m.busy.len() < before {
+                        slid_out += 1;
+                    }
+                } else {
+                    // A finish for a tenant that may have nothing running.
+                    let t = TenantId(rng.gen_range(0u32..8));
+                    let got = m.on_query_finish(t, now);
+                    assert_eq!(got, o.on_query_finish(t, now), "{ctx}");
+                    if got.is_ok() {
+                        let pos = running.iter().position(|&x| x == t);
+                        running.swap_remove(pos.expect("a running query finished"));
+                    }
+                }
+                assert_eq!(m.active_tenants(), o.running.len(), "{ctx}");
+                // Probe the present and a little past it, inside and beyond
+                // the window.
+                for probe in [now, now + window_ms / 2, now + window_ms] {
+                    assert_eq!(m.rt_ttp(probe), o.rt_ttp(probe), "{ctx} at {probe}");
+                    assert_eq!(
+                        m.window_activity(probe),
+                        o.window_activity(probe),
+                        "{ctx} at {probe}"
+                    );
+                }
+            }
+        }
+        assert!(same_instant_closes > 50, "{same_instant_closes}");
+        assert!(zero_length > 50, "{zero_length}");
+        assert!(slid_out > 50, "{slid_out}");
     }
 
     #[test]

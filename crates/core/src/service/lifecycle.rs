@@ -80,7 +80,7 @@ impl ThriftyService {
         }
         let datasets: Vec<(TenantId, f64)> = over_active
             .iter()
-            .map(|&id| (id, self.tenants[&id].tenant.data_gb))
+            .filter_map(|&id| Some((id, self.tenants.get(id)?.tenant.data_gb)))
             .collect();
         let node_size = self.groups[gi].node_size as usize;
         let instance = match self.cluster.provision_instance(node_size, &datasets) {
@@ -162,7 +162,7 @@ impl ThriftyService {
             new_group: new_gi,
         });
         for t in &moved {
-            if let Some(live) = self.tenants.get_mut(&t.id) {
+            if let Some(live) = self.tenants.get_mut(t.id) {
                 live.group = new_gi;
             }
             self.telemetry.record(TelemetryEvent::TenantMigrated {
@@ -209,7 +209,7 @@ impl ThriftyService {
             // a genuine error worth surfacing.
             let parked = self.is_parked(tenant);
             let (incoming, submitted) = (info.incoming, info.submitted_abs);
-            self.dispatch(new_gi, parked, spec, incoming, submitted, now_ms)?;
+            self.dispatch(info.slot, new_gi, parked, spec, incoming, submitted, now_ms)?;
         }
         Ok(())
     }
@@ -242,7 +242,7 @@ impl ThriftyService {
     /// loading, [`ThriftyError::NotDeployed`] if no live group can park it,
     /// and simulator errors from the bulk load.
     pub fn register_tenant(&mut self, tenant: Tenant) -> ThriftyResult<()> {
-        if self.tenants.contains_key(&tenant.id)
+        if self.tenants.contains(tenant.id)
             || self.loads.keys().any(|&(_, t)| t == tenant.id)
             || self.deferred_regs.iter().any(|t| t.id == tenant.id)
         {
@@ -341,7 +341,7 @@ impl ThriftyService {
         });
         if let Load::Park(live) = load {
             self.groups[live.group].members.push(live.tenant);
-            self.tenants.insert(tenant, live);
+            self.tenants.insert(live);
         }
     }
 
@@ -359,7 +359,7 @@ impl ThriftyService {
     ) -> ThriftyResult<()> {
         let Some(load) = self.loads.remove(&(instance, tenant)) else {
             // Orphaned load: reclaim the space.
-            if self.tenants.contains_key(&tenant) {
+            if self.tenants.contains(tenant) {
                 return Ok(());
             }
             return self.drop_if_hosted(instance, tenant);
@@ -401,7 +401,7 @@ impl ThriftyService {
         } else if let Some(info) = loading {
             info
         } else {
-            let Some(live) = self.tenants.remove(&tenant) else {
+            let Some(live) = self.tenants.remove(tenant) else {
                 return Err(ThriftyError::UnknownTenant(tenant));
             };
             self.groups[live.group].members.retain(|m| m.id != tenant);
@@ -448,7 +448,7 @@ impl ThriftyService {
 
     /// Whether a tenant is parked on a tuning MPPDB awaiting placement.
     pub fn is_parked(&self, tenant: TenantId) -> bool {
-        self.tenants.get(&tenant).is_some_and(|t| t.parked)
+        self.tenants.get(tenant).is_some_and(|t| t.parked)
     }
 
     /// Starts executing a re-consolidation cycle. Replacement groups are
@@ -564,7 +564,7 @@ impl ThriftyService {
                 return invalid("cycle plan contains an empty or zero-sized build");
             }
             for m in &planned.members {
-                if !self.tenants.contains_key(&m.id) {
+                if !self.tenants.contains(m.id) {
                     return invalid("cycle plan builds a group around an unknown tenant");
                 }
                 if !placed.insert(m.id) {
@@ -642,7 +642,7 @@ impl ThriftyService {
         );
         let new_gi = self.groups.len();
         for m in &members {
-            if let Some(live) = self.tenants.get_mut(&m.id) {
+            if let Some(live) = self.tenants.get_mut(m.id) {
                 self.groups[live.group].members.retain(|t| t.id != m.id);
                 live.group = new_gi;
                 live.parked = false;

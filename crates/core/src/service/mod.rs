@@ -10,13 +10,15 @@
 //! how the Figure 7.7 experiment is produced.
 //!
 //! Layout: `group.rs` owns each group's Algorithm 1 and RT-TTP state,
-//! `lifecycle.rs` moves tenants between groups, and this module keeps the
-//! event loop, the one tenant table, query dispatch and the accounting.
+//! `lifecycle.rs` moves tenants between groups, `tenants.rs` is the one
+//! tenant table (live records and usage meters), and this module keeps the
+//! event loop, query dispatch and the accounting.
 
 mod group;
 mod lifecycle;
+mod tenants;
 
-use crate::billing::{Invoice, Tariff, UsageMeter};
+use crate::billing::{Invoice, Tariff};
 use crate::design::DeploymentPlan;
 use crate::error::{ThriftyError, ThriftyResult};
 use crate::master::DeploymentMaster;
@@ -36,6 +38,7 @@ use mppdb_sim::query::{QueryId, QuerySpec, QueryTemplate, TemplateId};
 use mppdb_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use tenants::{LiveTenant, Slot, TenantTable};
 
 /// RT-TTP trace sampling (for the Figure 7.7 time-series plots).
 ///
@@ -318,17 +321,11 @@ struct Inflight {
     incoming: IncomingQuery,
     /// Absolute instant of the first submission.
     submitted_abs: SimTime,
+    /// The tenant's slot in the tenant table: a completion meters it
+    /// without a search.
+    slot: Slot,
     group: usize,
     placement: Placement,
-}
-
-/// A live (routable) tenant: its record, its serving group, and whether it
-/// is parked on that group's tuning MPPDB until a cycle places it.
-#[derive(Clone, Copy, PartialEq)]
-struct LiveTenant {
-    tenant: Tenant,
-    group: usize,
-    parked: bool,
 }
 
 /// The Thrifty MPPDBaaS service: deployment + run-time loop over the
@@ -337,8 +334,9 @@ pub struct ThriftyService {
     cluster: Cluster,
     config: ServiceConfig,
     templates: BTreeMap<TemplateId, QueryTemplate>,
-    /// The tenant table: one record per live tenant.
-    tenants: BTreeMap<TenantId, LiveTenant>,
+    /// The tenant table: live records and usage meters (see
+    /// [`TenantTable`]).
+    tenants: TenantTable,
     groups: Vec<GroupRuntime>,
     /// Keyed by a `BTreeMap` so every iteration (most importantly the
     /// scale-out migration sweep) visits queries in id order — replaying
@@ -353,8 +351,6 @@ pub struct ThriftyService {
     /// Per-tenant historical activity ratios, used by over-active
     /// identification to detect deviation from history.
     historical_ratios: BTreeMap<TenantId, f64>,
-    /// Pricing-model usage metering (Chapter 3).
-    meter: UsageMeter,
     /// Metrics + event recorder (see [`crate::telemetry`]).
     telemetry: Telemetry,
     /// All log times are shifted by this offset: the deployment finishes
@@ -400,7 +396,19 @@ impl ThriftyService {
             cluster,
             config,
             templates: templates.into_iter().map(|t| (t.id, t)).collect(),
-            tenants: BTreeMap::new(),
+            tenants: TenantTable::new(
+                plan.groups
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(group, g)| {
+                        g.members.iter().map(move |&tenant| LiveTenant {
+                            tenant,
+                            group,
+                            parked: false,
+                        })
+                    })
+                    .collect(),
+            ),
             groups: Vec::with_capacity(plan.groups.len()),
             inflight: BTreeMap::new(),
             records: Vec::new(),
@@ -410,7 +418,6 @@ impl ThriftyService {
             next_trace_ms: offset_ms,
             offset_ms,
             historical_ratios: BTreeMap::new(),
-            meter: UsageMeter::new(),
             telemetry,
             loads: BTreeMap::new(),
             recon: None,
@@ -419,15 +426,6 @@ impl ThriftyService {
             retiring: Vec::new(),
         };
         for (group_plan, instances) in plan.groups.iter().zip(deployment.instances.iter()) {
-            let gi = service.groups.len();
-            for &tenant in &group_plan.members {
-                let live = LiveTenant {
-                    tenant,
-                    group: gi,
-                    parked: false,
-                };
-                service.tenants.insert(tenant.id, live);
-            }
             let members = group_plan.members.clone();
             let node_size = group_plan.largest_request();
             let group = service.push_group(members, instances.clone(), node_size, None, offset_ms);
@@ -465,7 +463,7 @@ impl ThriftyService {
 
     /// The group currently serving a tenant.
     pub fn group_of(&self, tenant: TenantId) -> Option<usize> {
-        self.tenants.get(&tenant).map(|t| t.group)
+        self.tenants.get(tenant).map(|t| t.group)
     }
 
     /// Replays a chronologically ordered sequence of queries and returns
@@ -509,17 +507,16 @@ impl ThriftyService {
             SimTime::from_ms((q.submit.as_ms() + self.offset_ms).max(self.cluster.now().as_ms()));
         // Look up after the advance: a park load landing at `at` counts.
         self.advance_to(at)?;
-        let live = *self
-            .tenants
-            .get(&q.tenant)
-            .ok_or(ThriftyError::UnknownTenant(q.tenant))?;
+        let unknown = || ThriftyError::UnknownTenant(q.tenant);
+        let slot = self.tenants.slot(q.tenant).ok_or_else(unknown)?;
+        let live = *self.tenants.live_at(slot).ok_or_else(unknown)?;
         let template = *self
             .templates
             .get(&q.template)
             .ok_or(ThriftyError::UnknownTemplate(q.template))?;
         let spec = QuerySpec::new(template, live.tenant.data_gb, q.tenant);
-        self.dispatch(live.group, live.parked, spec, q, at, at.as_ms())?;
-        self.meter.on_query_start(q.tenant, at.as_ms());
+        self.dispatch(slot, live.group, live.parked, spec, q, at, at.as_ms())?;
+        self.tenants.usage_mut(slot).on_query_start(at.as_ms());
         Ok(())
     }
 
@@ -564,11 +561,11 @@ impl ThriftyService {
         tariff: &Tariff,
         billing_days: f64,
     ) -> ThriftyResult<Invoice> {
-        let live = self
+        let (live, usage) = self
             .tenants
-            .get(&tenant)
+            .live_usage(tenant)
             .ok_or(ThriftyError::UnknownTenant(tenant))?;
-        Ok(self.meter.invoice(&live.tenant, tariff, billing_days))
+        Ok(usage.invoice(&live.tenant, tariff, billing_days))
     }
 
     /// The observed per-tenant activity ratios since the deployment went
@@ -578,10 +575,9 @@ impl ThriftyService {
     /// and the baseline [`Self::set_historical_activity`] expects.
     pub fn observed_activity_ratios(&self) -> Vec<(TenantId, f64)> {
         let elapsed = self.log_now().as_ms().max(1) as f64;
-        self.meter
-            .all_active_ms()
-            .into_iter()
-            .map(|(t, ms)| (t, ms as f64 / elapsed))
+        self.tenants
+            .metered()
+            .map(|(t, usage)| (t, usage.active_ms() as f64 / elapsed))
             .collect()
     }
 
@@ -935,9 +931,11 @@ impl ThriftyService {
     /// MPPDB when the tenant is `parked`), records the submission and its
     /// routing decision, and tracks the query until it completes.
     /// `incoming` and `submitted_abs` describe the tenant's first
-    /// submission (see [`Inflight`]).
+    /// submission and `slot` its tenant-table slot (see [`Inflight`]).
+    #[allow(clippy::too_many_arguments)] // the target plus the Inflight fields
     fn dispatch(
         &mut self,
+        slot: Slot,
         gi: usize,
         parked: bool,
         spec: QuerySpec,
@@ -968,6 +966,7 @@ impl ThriftyService {
             Inflight {
                 incoming,
                 submitted_abs,
+                slot,
                 group: gi,
                 placement,
             },
@@ -998,7 +997,9 @@ impl ThriftyService {
         };
         let (now_ms, q) = (c.finished.as_ms(), info.incoming);
         self.groups[info.group].release(q.tenant, info.placement, now_ms)?;
-        self.meter.on_query_finish(q.tenant, now_ms)?;
+        self.tenants
+            .usage_mut(info.slot)
+            .on_query_finish(q.tenant, now_ms)?;
         // Achieved latency is measured from the query's first submission,
         // not from any re-submission a scale-out migration performed.
         let achieved = c.finished.saturating_since(info.submitted_abs);
@@ -1050,8 +1051,11 @@ impl ThriftyService {
             .saturating_sub(window_ms.min(self.config.monitor_window_ms).max(1))
             .max(self.offset_ms);
         let horizon = now.saturating_sub(start).max(1);
-        let mut per_tenant: BTreeMap<TenantId, Vec<(u64, u64)>> =
-            self.tenants.keys().map(|&t| (t, Vec::new())).collect();
+        let mut per_tenant: BTreeMap<TenantId, (Tenant, Vec<(u64, u64)>)> = self
+            .tenants
+            .live()
+            .map(|l| (l.tenant.id, (l.tenant, Vec::new())))
+            .collect();
         for (gi, group) in self.groups.iter().enumerate() {
             if group.retired {
                 continue;
@@ -1063,7 +1067,7 @@ impl ThriftyService {
                 if self.group_of(tenant) != Some(gi) {
                     continue;
                 }
-                let Some(out) = per_tenant.get_mut(&tenant) else {
+                let Some((_, out)) = per_tenant.get_mut(&tenant) else {
                     continue;
                 };
                 for (s, e) in intervals {
@@ -1076,8 +1080,8 @@ impl ThriftyService {
             }
         }
         let activity = per_tenant
-            .into_iter()
-            .map(|(t, iv)| TenantHistory::new(self.tenants[&t].tenant, iv))
+            .into_values()
+            .map(|(tenant, iv)| TenantHistory::new(tenant, iv))
             .collect();
         (activity, horizon)
     }
@@ -1112,7 +1116,7 @@ impl ThriftyService {
 
     /// Ids of all live (routable) tenants, ascending.
     pub fn live_tenants(&self) -> Vec<TenantId> {
-        self.tenants.keys().copied().collect()
+        self.tenants.live().map(|l| l.tenant.id).collect()
     }
 
     /// The tenants group `gi` currently serves (ids ascending).

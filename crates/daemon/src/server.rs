@@ -373,8 +373,10 @@ pub fn serve(mut core: DaemonCore, socket: &Path) -> DaemonResult<()> {
                     return Ok(());
                 }
                 Ok(Serviced::Closed) | Err(_) => {
-                    // A broken peer only costs its own connection.
-                    conns.swap_remove(i);
+                    // A broken peer only costs its own connection. The
+                    // removal keeps the others in accept order, so which
+                    // client is served first never depends on who hung up.
+                    conns.remove(i);
                 }
             }
         }

@@ -6,7 +6,8 @@
 //! instantly); a second test proves the wall-clock daemon serves and
 //! rejects manual time. The rest pin the event loop: an idle daemon
 //! sleeps in `poll`, `SIGHUP` wakes it, a peer that stops reading or
-//! sends an over-long line costs only its own connection.
+//! sends an over-long line costs only its own connection, and a peer
+//! that hangs up does not reorder the others.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::UnixStream;
@@ -14,9 +15,9 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 use thrifty_daemon::client::DaemonClient;
-use thrifty_daemon::config::DaemonConfig;
+use thrifty_daemon::config::{DaemonConfig, TenantSection};
 use thrifty_daemon::error::DaemonError;
-use thrifty_daemon::protocol::{decode_line, Envelope, Reply};
+use thrifty_daemon::protocol::{decode_line, encode_line, Envelope, Reply, Request};
 use thrifty_daemon::server::MAX_LINE_BYTES;
 
 /// Kills the daemon on drop so a failing assertion cannot leak a
@@ -123,6 +124,23 @@ fn cpu_ticks(pid: u32) -> Option<u64> {
     let utime: u64 = fields.next()?.parse().ok()?;
     let stime: u64 = fields.next()?.parse().ok()?;
     Some(utime + stime)
+}
+
+/// The daemon's scheduler state letter (`R`, `S`, `T`, ...), when `/proc`
+/// has it.
+fn process_state(pid: u32) -> Option<char> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    stat.rsplit_once(')')?.1.trim_start().chars().next()
+}
+
+/// Sends `signal` (`HUP`, `STOP`, `CONT`, ...) to `pid`.
+fn signal(pid: u32, signal: &str) {
+    let status = Command::new("kill")
+        .arg(format!("-{signal}"))
+        .arg(pid.to_string())
+        .status()
+        .expect("kill runs");
+    assert!(status.success());
 }
 
 impl Drop for TestBed {
@@ -333,12 +351,7 @@ fn sighup_wakes_an_idle_sim_clock_daemon_to_reload() {
     let mut edited = cfg.clone();
     edited.service.sla_p = 0.99;
     bed.write_config(&edited);
-    let kill = Command::new("kill")
-        .arg("-HUP")
-        .arg(guard.child.id().to_string())
-        .status()
-        .expect("kill runs");
-    assert!(kill.success());
+    signal(guard.child.id(), "HUP");
 
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
@@ -362,8 +375,6 @@ fn a_peer_that_stops_reading_stalls_only_itself() {
     let bed = TestBed::new("stall");
     bed.write_config(&base_config());
     let guard = bed.start(true);
-    // The first client stays connected, so no connection closes and
-    // reorders the daemon's service list.
     let mut client = bed.connect();
     client.ping().expect("ping");
 
@@ -422,5 +433,69 @@ fn an_over_long_line_gets_overload_and_closes_only_its_connection() {
     }
 
     client.ping().expect("other connections keep being served");
+    stop_and_reap(&mut client, &bed, guard);
+}
+
+#[test]
+fn a_peer_that_hangs_up_does_not_reorder_the_others() {
+    let bed = TestBed::new("hangup");
+    bed.write_config(&base_config());
+    let guard = bed.start(true);
+    let pid = guard.child.id();
+    let mut client = bed.connect();
+    client.ping().expect("ping");
+    if process_state(pid).is_none() {
+        eprintln!("skipping: /proc/{pid}/stat is unreadable");
+        stop_and_reap(&mut client, &bed, guard);
+        return;
+    }
+    // Accepted in order: client, A, B, C.
+    let ping = |conn: &UnixStream| {
+        (&*conn).write_all(b"\"Ping\"\n").unwrap();
+        let answer = read_envelope(&mut BufReader::new(conn));
+        assert_eq!(answer.into_reply().expect("ok"), Reply::Pong);
+    };
+    let a = bed.connect_raw();
+    ping(&a);
+    let b = bed.connect_raw();
+    ping(&b);
+    let c = bed.connect_raw();
+    ping(&c);
+
+    // A hangs up. B's next answer proves the daemon has seen it: A's end
+    // of file was pending before B's ping was sent.
+    drop(a);
+    ping(&b);
+
+    // With the daemon stopped, B and then C ask to register the same
+    // tenant, so one poll sees both requests and serves them in the
+    // daemon's connection order: the first served wins, the other gets
+    // `duplicate-tenant`.
+    signal(pid, "STOP");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while process_state(pid) != Some('T') {
+        assert!(Instant::now() < deadline, "the daemon did not stop");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let register = encode_line(&Request::Register(TenantSection {
+        id: 77,
+        nodes: 2,
+        data_gb: 60.0,
+    }))
+    .unwrap()
+        + "\n";
+    (&b).write_all(register.as_bytes()).unwrap();
+    (&c).write_all(register.as_bytes()).unwrap();
+    signal(pid, "CONT");
+
+    let first = read_envelope(&mut BufReader::new(&b)).into_reply();
+    assert_eq!(
+        first.expect("B was accepted before C, so B registers"),
+        Reply::Registered { id: 77 }
+    );
+    match read_envelope(&mut BufReader::new(&c)).into_reply() {
+        Err(DaemonError::Remote { kind, .. }) => assert_eq!(kind, "duplicate-tenant"),
+        other => panic!("C is served after B and must get `duplicate-tenant`, got {other:?}"),
+    }
     stop_and_reap(&mut client, &bed, guard);
 }

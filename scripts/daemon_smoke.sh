@@ -2,8 +2,10 @@
 # Operator-CLI round trip against a real `thriftyd`, exactly as a
 # deployer would drive it: start a sim-clock daemon, wait for it to
 # serve, register a tenant, advance quiesced log time until it is
-# routable, hot-reload with one accepted knob and one rejected knob,
-# read telemetry, stop, and require a clean exit with the socket gone.
+# routable, do the same for the largest tenant id and check the daemon's
+# peak RSS stays under 64 MB, hot-reload with one accepted knob and one
+# rejected knob, read telemetry, stop, and require a clean exit with the
+# socket gone.
 #
 # Usage: scripts/daemon_smoke.sh [path-to-thriftyd]
 # (CI runs it after `cargo build --release -p thrifty-daemon`.)
@@ -36,6 +38,18 @@ done
 "$BIN" submit --tenant 50 --template 2 --data-gb 30.0 --nodes 2
 "$BIN" quiesce --ms 600000
 
+# Tenant ids are arbitrary u32s: the largest one registers and serves
+# like any other, and the daemon stays small, which a table indexed by
+# the raw id (4 billion entries) could not.
+"$BIN" tenant register --id 4294967295 --nodes 2 --data-gb 60.0
+"$BIN" quiesce --ms 3600000
+"$BIN" status | grep -E 'tenant +4294967295 .*routable'
+"$BIN" submit --tenant 4294967295 --template 2 --data-gb 30.0 --nodes 2
+"$BIN" quiesce --ms 600000
+hwm_kb=$(awk '/^VmHWM:/ { print $2 }' "/proc/$DAEMON/status")
+echo "thriftyd peak RSS: ${hwm_kb} kB"
+test "$hwm_kb" -lt $((64 * 1024))
+
 # Hot-reload: sla_p is a live knob (applied); monitor_window_ms is
 # deploy-time (rejected with a structured reason).
 sed -i \
@@ -52,8 +66,8 @@ grep '^rejected monitor_window_ms' "$DIR/reload.out"
 grep -E '"config.reloads": *1' "$DIR/telemetry.json"
 grep -E '"config.knobs_applied": *1' "$DIR/telemetry.json"
 grep -E '"config.knobs_rejected": *1' "$DIR/telemetry.json"
-grep -E '"tenants.registered": *1' "$DIR/telemetry.json"
-grep -E '"queries.completed": *1' "$DIR/telemetry.json"
+grep -E '"tenants.registered": *2' "$DIR/telemetry.json"
+grep -E '"queries.completed": *2' "$DIR/telemetry.json"
 
 "$BIN" stop
 wait "$DAEMON"

@@ -213,3 +213,82 @@ fn burst_exclusion_removes_periodic_tenants_from_the_plan() {
     assert_eq!(series.next_predicted_ms, 34 * DAY);
     assert_eq!(with.plan.tenant_count(), 1);
 }
+
+#[test]
+fn arbitrary_u32_tenant_ids_keep_their_usage_across_churn() {
+    const LOW: u32 = 0;
+    const HIGH: u32 = 100_000_000;
+    const MAX: u32 = u32::MAX;
+    const IDLE: u32 = 5;
+    let members: Vec<Tenant> = [HIGH, IDLE, LOW]
+        .iter()
+        .map(|&i| Tenant::new(TenantId(i), 2, 200.0))
+        .collect();
+    let plan = DeploymentPlan {
+        groups: vec![TenantGroupPlan::new(members, 2, 2)],
+    };
+    let config = ServiceConfig::builder()
+        .elastic_scaling(false)
+        .build()
+        .expect("valid service config");
+    let mut s = ThriftyService::deploy(&plan, 12, [template()], config).unwrap();
+    // Wait for a registration's bulk load to land.
+    let land = |s: &mut ThriftyService, id: u32, from_s: u64| {
+        for at in (from_s..from_s + 86_400).step_by(60) {
+            s.advance_log_time(SimTime::from_secs(at)).unwrap();
+            if s.live_tenants().contains(&TenantId(id)) {
+                return at;
+            }
+        }
+        panic!("tenant {id} never went live");
+    };
+    s.register_tenant(Tenant::new(TenantId(MAX), 2, 200.0))
+        .unwrap();
+    let t = land(&mut s, MAX, 0);
+    for &id in &[LOW, HIGH, MAX] {
+        s.submit(q(id, t, 2)).unwrap();
+    }
+    // LOW leaves with its query in flight, then comes back; HIGH leaves
+    // for good after its query; IDLE never submits.
+    s.advance_log_time(SimTime::from_secs(t + 1)).unwrap();
+    s.deregister_tenant(TenantId(LOW)).unwrap();
+    s.register_tenant(Tenant::new(TenantId(LOW), 2, 200.0))
+        .unwrap();
+    let back = land(&mut s, LOW, t + 1);
+    s.submit(q(LOW, back, 2)).unwrap();
+    s.submit(q(MAX, back, 2)).unwrap();
+    s.advance_log_time(SimTime::from_secs(back + 60)).unwrap();
+    s.deregister_tenant(TenantId(HIGH)).unwrap();
+    s.drain().unwrap();
+    assert_eq!(
+        s.live_tenants(),
+        vec![TenantId(LOW), TenantId(IDLE), TenantId(MAX)]
+    );
+    // Ascending id order; HIGH is listed after leaving, IDLE is absent
+    // (never queried), and LOW's two queries both count although it left
+    // between them.
+    let ratios = format!("{:?}", s.observed_activity_ratios());
+    assert_eq!(
+        ratios,
+        "[(SimTenantId(0), 0.0019549386637994232), \
+         (SimTenantId(100000000), 0.0004887346659498558), \
+         (SimTenantId(4294967295), 0.0019549386637994232)]"
+    );
+    let tariff = Tariff::default();
+    let invoices: Vec<String> = [LOW, IDLE, MAX]
+        .iter()
+        .map(|&id| {
+            let inv = s.invoice(TenantId(id), &tariff, 30.0).unwrap();
+            format!("{} {} {} {:?}", id, inv.active_ms, inv.queries, inv.total())
+        })
+        .collect();
+    assert_eq!(
+        invoices,
+        [
+            "0 40000 2 600.08",
+            "5 0 0 600.0",
+            "4294967295 40000 2 600.08"
+        ]
+    );
+    assert!(s.invoice(TenantId(HIGH), &tariff, 30.0).is_err());
+}

@@ -18,11 +18,13 @@ ids: fig1.1a fig1.1b fig1.1c tab5.1 fig5.3 tab7.1
 --json    also write each result (tables + stage timings) to BENCH_<id>.json
 
 THRIFTY_THREADS caps the worker threads of every parallel stage (default:
-all cores; 1 reproduces the serial pipeline bit for bit).";
+all cores; 1 reproduces the serial pipeline bit for bit). Each stage's wall
+time is reported; its speedup is the ratio of two runs' walls at different
+THRIFTY_THREADS.";
 
 /// Writes the full result (tables + stage timings) to `BENCH_<id>.json` so
 /// runs at different `THRIFTY_THREADS` settings can be diffed for output
-/// identity and compared for speedup.
+/// identity and their stage walls compared for speedup.
 fn write_json(result: &report::ExperimentResult) -> Result<String, serde_json::Error> {
     let path = format!("BENCH_{}.json", result.id);
     let file = std::fs::File::create(&path).map_err(serde_json::Error::from)?;
@@ -103,13 +105,8 @@ fn main() -> ExitCode {
                 println!("{result}");
                 for s in &result.timings {
                     eprintln!(
-                        "# {id} stage {}: {} tasks on {} threads, wall {:.1?}, busy {:.1?} ({:.1}x)",
-                        s.stage,
-                        s.tasks,
-                        s.threads,
-                        s.wall,
-                        s.busy,
-                        s.speedup()
+                        "# {id} stage {}: {} tasks on {} threads, wall {:.1?}",
+                        s.stage, s.tasks, s.threads, s.wall
                     );
                 }
                 if json {

@@ -1,6 +1,6 @@
 //! Daemon-mode lifecycle fuzz: the same seeded schedule, executed twice.
 //!
-//! [`fuzz_daemon`] generates one deterministic request schedule (time,
+//! `fuzz_daemon` generates one deterministic request schedule (time,
 //! queries, registrations, deregistrations, cycles, node failures) and
 //! runs it through
 //!
@@ -31,7 +31,7 @@ const STEPS: u32 = 40;
 
 /// Deterministic digest of one daemon-vs-direct schedule.
 #[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct DaemonFuzzOutcome {
+struct DaemonFuzzOutcome {
     /// The driving seed.
     pub seed: u64,
     /// Requests issued (shutdown handshake excluded).
@@ -228,7 +228,7 @@ pub fn find_thriftyd() -> Option<PathBuf> {
 ///
 /// # Errors
 /// A human-readable description of the first divergence or failure.
-pub fn fuzz_daemon(seed: u64, bin: &PathBuf) -> Result<DaemonFuzzOutcome, String> {
+fn fuzz_daemon(seed: u64, bin: &PathBuf) -> Result<DaemonFuzzOutcome, String> {
     let cfg = fuzz_config(seed);
     let requests = schedule(seed, &cfg);
     let direct = run_direct(&cfg, &requests, seed)?;
@@ -267,7 +267,7 @@ pub fn fuzz_daemon(seed: u64, bin: &PathBuf) -> Result<DaemonFuzzOutcome, String
     })
 }
 
-/// Runs [`fuzz_daemon`] for every seed in `start..start + count`,
+/// Runs `fuzz_daemon` for every seed in `start..start + count`,
 /// returning the failure messages (empty = pass). Seeds run through
 /// [`par_map`](crate::parallel::par_map) — each schedule gets its own
 /// daemon process, socket, and temp dir, so they are independent.

@@ -33,7 +33,7 @@ const HEADROOM: usize = 3;
 const SEED: u64 = 42;
 
 /// The feedback arm's controller knobs.
-pub fn feedback_config() -> ControllerConfig {
+fn feedback_config() -> ControllerConfig {
     ControllerConfig {
         initial_interval_ms: CYCLE_MS,
         min_interval_ms: 30 * 60_000,
@@ -63,11 +63,7 @@ fn kinds() -> impl Iterator<Item = ScenarioKind> {
 
 /// Replays `scenario` on `plan` under the fixed-period controller, or
 /// the feedback controller when `feedback`.
-pub fn controller_arm(
-    scenario: &AdversarialScenario,
-    plan: &DeploymentPlan,
-    feedback: bool,
-) -> ArmRun {
+fn controller_arm(scenario: &AdversarialScenario, plan: &DeploymentPlan, feedback: bool) -> ArmRun {
     let recon = if feedback {
         Reconsolidator::with_controller(advisor_config(WINDOW_MS), feedback_config())
     } else {

@@ -33,7 +33,7 @@ fn scenario() -> AdversarialScenario {
 /// Replays `scenario` on `plan`, with a periodic re-consolidation driver
 /// when `periodic`; the static arm replays the identical log (including
 /// churn) on the frozen day-one deployment.
-pub fn drift_arm(scenario: &AdversarialScenario, plan: &DeploymentPlan, periodic: bool) -> ArmRun {
+fn drift_arm(scenario: &AdversarialScenario, plan: &DeploymentPlan, periodic: bool) -> ArmRun {
     let recon = periodic.then(|| Reconsolidator::new(advisor_config(WINDOW_MS), CYCLE_MS));
     run_arm(scenario, plan, SAMPLE_MS, WINDOW_MS, HEADROOM, recon)
 }

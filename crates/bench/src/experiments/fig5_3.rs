@@ -10,7 +10,7 @@ use thrifty::prelude::*;
 /// The reconstructed Figure 5.1 activity vectors (see
 /// `thrifty::grouping::livbpwfc` for the derivation from the published
 /// walk-through).
-pub fn figure_5_1_instance(r: u32, p: f64) -> GroupingProblem {
+fn figure_5_1_instance(r: u32, p: f64) -> GroupingProblem {
     let d = 10;
     let epochs: [&[u32]; 6] = [
         &[0, 1, 2, 3, 4, 5], // T1

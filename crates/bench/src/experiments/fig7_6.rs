@@ -12,7 +12,7 @@ use crate::report::{num, pct, ExperimentResult, Table};
 use thrifty_workload::prelude::ActivityScenario;
 
 /// The four §7.4 scenarios in the paper's order.
-pub const SCENARIOS: [(ActivityScenario, &str); 4] = [
+const SCENARIOS: [(ActivityScenario, &str); 4] = [
     (ActivityScenario::Default, "default (7 zones)"),
     (ActivityScenario::NorthAmericaOnly, "(1) North America only"),
     (ActivityScenario::NorthAmericaNoLunch, "(2) NA + no lunch"),

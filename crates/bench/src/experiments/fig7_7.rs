@@ -15,7 +15,7 @@ use thrifty::prelude::*;
 use thrifty_workload::prelude::*;
 
 /// Outcome of one Figure 7.7 run (per scaling setting).
-pub struct Fig77Run {
+struct Fig77Run {
     /// Per-query records.
     pub report: ServiceReport,
     /// The RT-TTP trace of the observed group.
@@ -24,7 +24,7 @@ pub struct Fig77Run {
 
 /// The assembled scenario: the chosen group, the replay stream, and the
 /// injected tenant.
-pub struct Fig77Scenario {
+struct Fig77Scenario {
     /// The single-group deployment plan.
     pub plan: DeploymentPlan,
     /// Per-member historical activity ratios (fraction of horizon active).
@@ -46,7 +46,7 @@ pub struct Fig77Scenario {
 }
 
 /// Builds the scenario from the harness corpus.
-pub fn build_scenario(harness: &Harness) -> Fig77Scenario {
+fn build_scenario(harness: &Harness) -> Fig77Scenario {
     let corpus = harness.default_histories();
     // Group the corpus with the default advisor and pick the most populous
     // tenant-group among the smaller node sizes (the paper's excerpt used a
@@ -155,7 +155,7 @@ pub fn build_scenario(harness: &Harness) -> Fig77Scenario {
 }
 
 /// Replays the scenario with elastic scaling on or off.
-pub fn run_scenario(scenario: &Fig77Scenario, elastic_scaling: bool) -> Fig77Run {
+fn run_scenario(scenario: &Fig77Scenario, elastic_scaling: bool) -> Fig77Run {
     let total_nodes = (scenario.plan.nodes_used() as usize) + 2 * 4;
     let config = ServiceConfig::builder()
         .sla_p(defaults::SLA_P)

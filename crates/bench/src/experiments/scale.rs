@@ -15,7 +15,7 @@
 //!    and compares output digests, extending the crate's byte-identity
 //!    contract to the scale sweep.
 //!
-//! The grouping step is capped at [`GROUPING_CAP`] tenants. Step 2
+//! The grouping step is capped at `GROUPING_CAP` tenants. Step 2
 //! evaluates a candidate in `O(levels)` from its incrementally kept
 //! concurrency profile, but every insertion evaluates every remaining
 //! candidate of the bucket, so its cost grows with the square of the
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use thrifty::prelude::*;
 
 /// Upper bound on the tenant count fed to the grouping comparison.
-pub const GROUPING_CAP: usize = 5_000;
+const GROUPING_CAP: usize = 5_000;
 /// Replayed horizon: one simulated day.
 pub const HORIZON_MS: u64 = 24 * 3_600_000;
 /// Length of each tenant's single busy burst.
@@ -110,7 +110,7 @@ pub fn query_log(
 }
 
 /// One sweep point's measurements (from a single pipeline run).
-pub struct PointRun {
+struct PointRun {
     /// History-generation wall time.
     pub gen: Duration,
     /// Serial grouping wall time (on the capped subset).
@@ -132,7 +132,7 @@ pub struct PointRun {
 }
 
 /// Runs the full pipeline once at the current thread setting.
-pub fn run_point(seed: u64, tenants: usize, per_tenant: usize) -> PointRun {
+fn run_point(seed: u64, tenants: usize, per_tenant: usize) -> PointRun {
     let t0 = Instant::now();
     let histories = synthetic_histories(seed, tenants);
     let gen = t0.elapsed();
@@ -221,7 +221,7 @@ pub fn run_point(seed: u64, tenants: usize, per_tenant: usize) -> PointRun {
 }
 
 /// Tenant counts and per-tenant query volumes at each scale.
-pub fn sweep_points(scale: Scale) -> Vec<(usize, usize)> {
+fn sweep_points(scale: Scale) -> Vec<(usize, usize)> {
     match scale {
         Scale::Small => vec![(10_000, 8)],
         Scale::Full => vec![(10_000, 8), (100_000, 8), (1_000_000, 2)],
@@ -293,10 +293,12 @@ pub fn scale(scale: Scale, seed: u64) -> ExperimentResult {
     ExperimentResult {
         id: "scale".into(),
         context: format!(
-            "synthetic single-burst day, sizes {NODE_SIZES:?}, direct plan \
-             ({GROUP_SIZE}/group); grouping comparison capped at {GROUPING_CAP} \
-             tenants (Step 2 evaluates every remaining candidate per insertion), \
-             replay covers the full count"
+            "synthetic single-burst day, sizes {NODE_SIZES:?}, one-replica direct \
+             plan ({GROUP_SIZE}/group, A = 1: no separate tuning MPPDB absorbs \
+             overflow), not the advisor's plan, so SLA met does not measure the \
+             paper's P; grouping comparison capped at {GROUPING_CAP} tenants \
+             (Step 2 evaluates every remaining candidate per insertion), replay \
+             covers the full count"
         ),
         tables: vec![perf, identity],
         timings: Vec::new(),

@@ -167,19 +167,6 @@ pub fn fig_7_5(harness: &Harness) -> ExperimentResult {
     }
 }
 
-/// Assertable invariant used by the shape tests: the 2-step heuristic uses
-/// no more nodes than the published FFD baseline. The paper reports this at
-/// every sweep point; in this reproduction it reliably holds at the useful
-/// epoch sizes (≤ 90 s) while the coarsest epochs (600/1800 s) occasionally
-/// let FFD edge ahead by a few points — our replayed queries are shorter
-/// than the paper's, so coarse epochs inflate apparent activity more (see
-/// EXPERIMENTS.md).
-pub fn two_step_dominates(points: &[ComparisonPoint]) -> bool {
-    points
-        .iter()
-        .all(|p| p.two_step.nodes_used <= p.ffd.nodes_used)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,8 +194,11 @@ mod tests {
             coarse.two_step.effectiveness
         );
         // The 2-step heuristic must beat the published FFD baseline at the
-        // default epoch size (the paper's 3.6–11.1 pp claim).
-        assert!(two_step_dominates(&[fine]));
+        // default epoch size (the paper's 3.6–11.1 pp claim). It reliably
+        // does at epochs ≤ 90 s; at 600/1800 s FFD occasionally edges ahead,
+        // since our replayed queries are shorter than the paper's and coarse
+        // epochs inflate apparent activity more (see EXPERIMENTS.md).
+        assert!(fine.two_step.nodes_used <= fine.ffd.nodes_used);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::report::{num, ExperimentResult, Table};
 use mppdb_sim::loading::ProvisioningModel;
 
 /// The published rows: (nodes, data GB, startup s, bulk load s).
-pub const PAPER_ROWS: [(usize, f64, f64, f64); 5] = [
+const PAPER_ROWS: [(usize, f64, f64, f64); 5] = [
     (2, 200.0, 462.0, 10_172.0),
     (4, 400.0, 850.0, 20_302.0),
     (6, 600.0, 1_248.0, 30_121.0),

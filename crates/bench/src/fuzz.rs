@@ -4,7 +4,7 @@
 //! are easy to break silently: a missed `advance` or a dropped completion
 //! check produces wrong latencies, not crashes. This module drives seeded
 //! randomized schedules of submits, node failures, decommissions, and
-//! scale-outs against the simulator ([`fuzz_cluster`]) and the full
+//! scale-outs against the simulator (`fuzz_cluster`) and the full
 //! service loop ([`fuzz_service`]), the tenant-lifecycle /
 //! re-consolidation engine ([`fuzz_lifecycle`]), and the feedback-
 //! controlled cadence ([`fuzz_controller`]), checking cluster-wide
@@ -44,7 +44,7 @@ const TENANTS: u32 = 3;
 /// the same seed must produce equal outcomes (the driver asserts this via
 /// serialization).
 #[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct ClusterFuzzOutcome {
+struct ClusterFuzzOutcome {
     /// The schedule seed.
     pub seed: u64,
     /// Actions executed.
@@ -199,7 +199,7 @@ fn check_cluster_invariants(c: &Cluster, ledger: &ClusterLedger, step: u32) -> R
 /// Runs one seeded randomized schedule against [`Cluster`] directly and
 /// checks the invariants after every event batch. Returns the outcome
 /// digest, or a message pinpointing the violated invariant.
-pub fn fuzz_cluster(seed: u64) -> Result<ClusterFuzzOutcome, String> {
+fn fuzz_cluster(seed: u64) -> Result<ClusterFuzzOutcome, String> {
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed);
     let total_nodes = rng.gen_range(8usize..20);
     let mut c = Cluster::new(ClusterConfig::with_instant_provisioning(total_nodes));

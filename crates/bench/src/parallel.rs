@@ -39,13 +39,14 @@
 //!
 //! # Timings
 //!
-//! Every `par_map`/`par_join2` call records a [`StageTiming`] into a
-//! process-global registry; [`take_timings`] drains it. The experiment
-//! dispatcher attaches the drained records to each
+//! Every `par_map`/`par_join2` call records one [`StageTiming`] (stage
+//! label, threads, tasks, wall time) into a process-global registry;
+//! [`take_timings`] drains it. Tasks themselves are not timed. The
+//! experiment dispatcher attaches the drained records to each
 //! [`ExperimentResult`](crate::report::ExperimentResult), and the
-//! `experiments` binary persists them in `BENCH_<id>.json`, so the
-//! speedup of a parallel run over `THRIFTY_THREADS=1` is directly
-//! measurable from the recorded wall vs busy times.
+//! `experiments` binary persists them in `BENCH_<id>.json`, so a stage's
+//! speedup is the ratio of its wall times in two runs at different
+//! `THRIFTY_THREADS`.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,23 +64,6 @@ pub struct StageTiming {
     pub tasks: usize,
     /// Wall-clock time of the whole stage.
     pub wall: Duration,
-    /// Sum of per-task times (the serial-equivalent cost). `busy / wall`
-    /// is the stage's effective speedup.
-    pub busy: Duration,
-    /// The longest single task — the lower bound any thread count can
-    /// reach for this stage.
-    pub longest_task: Duration,
-}
-
-impl StageTiming {
-    /// Effective speedup over a serial execution of the same tasks.
-    pub fn speedup(&self) -> f64 {
-        if self.wall.is_zero() {
-            1.0
-        } else {
-            self.busy.as_secs_f64() / self.wall.as_secs_f64()
-        }
-    }
 }
 
 /// `0` means "no override"; set via [`set_thread_override`].
@@ -133,14 +117,12 @@ pub fn take_timings() -> Vec<StageTiming> {
     std::mem::take(&mut TIMINGS.lock().expect("timings registry poisoned"))
 }
 
-fn record(stage: &str, threads: usize, wall: Duration, task_times: &[Duration]) {
+fn record(stage: &str, threads: usize, tasks: usize, wall: Duration) {
     let timing = StageTiming {
         stage: stage.to_string(),
         threads,
-        tasks: task_times.len(),
+        tasks,
         wall,
-        busy: task_times.iter().sum(),
-        longest_task: task_times.iter().max().copied().unwrap_or_default(),
     };
     TIMINGS
         .lock()
@@ -162,23 +144,18 @@ where
 {
     let wall_start = Instant::now();
     let threads = max_threads().min(items.len().max(1));
-    let mut task_times: Vec<Duration> = Vec::with_capacity(items.len());
     let results: Vec<R> = if threads <= 1 {
-        items
-            .iter()
-            .map(|item| {
-                let t0 = Instant::now();
-                let r = f(item);
-                task_times.push(t0.elapsed());
-                r
-            })
-            .collect()
+        items.iter().map(f).collect()
     } else {
-        // Workers pull indices from a shared counter (cheap dynamic load
-        // balancing — sweep points differ wildly in cost) and tag each
-        // result with its index so the merge restores input order.
+        // Workers claim contiguous chunks from a shared counter (dynamic
+        // load balancing — sweep points differ wildly in cost) and tag
+        // each chunk with its start index so the merge restores input
+        // order. About four chunks per thread keeps the handout cheap for
+        // a million tiny items, while a short sweep still goes one item
+        // per claim.
+        let chunk = (items.len() / (4 * threads)).max(1);
         let next = AtomicUsize::new(0);
-        let mut tagged: Vec<(usize, R, Duration)> = Vec::with_capacity(items.len());
+        let mut tagged: Vec<(usize, Vec<R>)> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
@@ -186,11 +163,12 @@ where
                         IN_WORKER.with(|w| w.set(true));
                         let mut local = Vec::new();
                         loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            let t0 = Instant::now();
-                            let r = f(item);
-                            local.push((i, r, t0.elapsed()));
+                            let start = next.fetch_add(chunk, Ordering::Relaxed);
+                            if start >= items.len() {
+                                break;
+                            }
+                            let end = (start + chunk).min(items.len());
+                            local.push((start, items[start..end].iter().map(&f).collect()));
                         }
                         local
                     })
@@ -203,16 +181,10 @@ where
                 }
             }
         });
-        tagged.sort_unstable_by_key(|&(i, _, _)| i);
-        tagged
-            .into_iter()
-            .map(|(_, r, t)| {
-                task_times.push(t);
-                r
-            })
-            .collect()
+        tagged.sort_unstable_by_key(|&(start, _)| start);
+        tagged.into_iter().flat_map(|(_, chunk)| chunk).collect()
     };
-    record(stage, threads, wall_start.elapsed(), &task_times);
+    record(stage, threads, items.len(), wall_start.elapsed());
     results
 }
 
@@ -228,31 +200,22 @@ where
 {
     let wall_start = Instant::now();
     let threads = max_threads();
-    let (a, b, ta, tb) = if threads <= 1 {
-        let t0 = Instant::now();
-        let a = fa();
-        let ta = t0.elapsed();
-        let t0 = Instant::now();
-        let b = fb();
-        (a, b, ta, t0.elapsed())
+    let (a, b) = if threads <= 1 {
+        (fa(), fb())
     } else {
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 IN_WORKER.with(|w| w.set(true));
-                let t0 = Instant::now();
-                let b = fb();
-                (b, t0.elapsed())
+                fb()
             });
-            let t0 = Instant::now();
             let a = fa();
-            let ta = t0.elapsed();
             match handle.join() {
-                Ok((b, tb)) => (a, b, ta, tb),
+                Ok(b) => (a, b),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         })
     };
-    record(stage, threads.min(2), wall_start.elapsed(), &[ta, tb]);
+    record(stage, threads.min(2), 2, wall_start.elapsed());
     (a, b)
 }
 
@@ -262,22 +225,28 @@ mod tests {
 
     #[test]
     fn par_map_preserves_input_order() {
-        set_thread_override(Some(4));
-        let items: Vec<u64> = (0..200).collect();
-        let out = par_map("test:order", &items, |&x| x * 2);
-        set_thread_override(None);
-        assert_eq!(out, (0..200).map(|x| x * 2).collect::<Vec<_>>());
+        // 10_001 items at 4 threads: many chunks per thread and a ragged
+        // last chunk.
+        for n in [200u64, 10_001] {
+            set_thread_override(Some(4));
+            let items: Vec<u64> = (0..n).collect();
+            let out = par_map("test:order", &items, |&x| x * 2);
+            set_thread_override(None);
+            assert_eq!(out, (0..n).map(|x| x * 2).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn serial_and_parallel_agree() {
-        let items: Vec<u64> = (0..64).collect();
-        set_thread_override(Some(1));
-        let serial = par_map("test:serial", &items, |&x| x.wrapping_mul(0x9E37_79B9));
-        set_thread_override(Some(8));
-        let parallel = par_map("test:parallel", &items, |&x| x.wrapping_mul(0x9E37_79B9));
-        set_thread_override(None);
-        assert_eq!(serial, parallel);
+        for (n, threads) in [(64u64, 8), (10_001, 4)] {
+            let items: Vec<u64> = (0..n).collect();
+            set_thread_override(Some(1));
+            let serial = par_map("test:serial", &items, |&x| x.wrapping_mul(0x9E37_79B9));
+            set_thread_override(Some(threads));
+            let parallel = par_map("test:parallel", &items, |&x| x.wrapping_mul(0x9E37_79B9));
+            set_thread_override(None);
+            assert_eq!(serial, parallel);
+        }
     }
 
     #[test]
@@ -324,8 +293,7 @@ mod tests {
             .expect("stage recorded");
         assert_eq!(t.tasks, 10);
         assert_eq!(t.threads, 3);
-        assert!(t.busy >= t.longest_task);
-        assert!(t.speedup() >= 0.0);
+        assert!(t.wall > Duration::ZERO);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum Scale {
 
 impl Scale {
     /// Default tenant count at this scale.
-    pub fn default_tenants(self) -> usize {
+    fn default_tenants(self) -> usize {
         match self {
             Scale::Small => 400,
             Scale::Full => 5000,

@@ -81,9 +81,10 @@ pub struct ExperimentResult {
     pub context: String,
     /// The tables.
     pub tables: Vec<Table>,
-    /// Wall-clock accounting of every parallel stage that ran, attached by
-    /// [`crate::experiments::run`] and persisted in `BENCH_<id>.json` so a
-    /// `THRIFTY_THREADS=1` baseline can be compared against a parallel run.
+    /// Wall-clock time of every parallel stage that ran, attached by
+    /// [`crate::experiments::run`] and persisted in `BENCH_<id>.json`. A
+    /// stage's speedup is the ratio of its `wall` in two runs at different
+    /// `THRIFTY_THREADS`.
     pub timings: Vec<StageTiming>,
     /// Telemetry recorded by the service replay backing this experiment,
     /// if one ran. Persisted in `BENCH_<id>.json` so the perf trajectory
@@ -153,12 +154,11 @@ pub fn telemetry_instances_table(snap: &TelemetrySnapshot) -> Table {
     t
 }
 
-/// Renders stage timings as a standard [`Table`] (also used by the
-/// `experiments` binary for its stderr summary).
-pub fn timing_table(timings: &[StageTiming]) -> Table {
+/// Renders stage timings as a standard [`Table`].
+fn timing_table(timings: &[StageTiming]) -> Table {
     let mut t = Table::new(
-        "Parallel stage timings (busy = serial-equivalent cost)",
-        &["stage", "tasks", "threads", "wall", "busy", "speedup"],
+        "Parallel stage timings",
+        &["stage", "tasks", "threads", "wall"],
     );
     for s in timings {
         t.push_row(vec![
@@ -166,8 +166,6 @@ pub fn timing_table(timings: &[StageTiming]) -> Table {
             s.tasks.to_string(),
             s.threads.to_string(),
             dur(s.wall),
-            dur(s.busy),
-            format!("{:.1}x", s.speedup()),
         ]);
     }
     t

@@ -40,12 +40,6 @@ impl EpochConfig {
     pub fn epoch_count(&self) -> u32 {
         self.horizon_ms.div_ceil(self.epoch_ms) as u32
     }
-
-    /// The epoch index containing millisecond instant `ms` (clamped to the
-    /// final epoch).
-    pub fn epoch_of_ms(&self, ms: u64) -> u32 {
-        ((ms / self.epoch_ms) as u32).min(self.epoch_count().saturating_sub(1))
-    }
 }
 
 /// A tenant's activity vector: the set of epochs in which the tenant had at
@@ -134,21 +128,6 @@ impl ActivityVector {
         self.active_epochs() as f64 / self.d as f64
     }
 
-    /// Whether the tenant is active in epoch `k`.
-    pub fn is_active(&self, k: u32) -> bool {
-        self.runs
-            .binary_search_by(|&(s, e)| {
-                if k < s {
-                    std::cmp::Ordering::Greater
-                } else if k >= e {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
-    }
-
     /// The active runs.
     pub fn runs(&self) -> &[(u32, u32)] {
         &self.runs
@@ -169,10 +148,6 @@ mod tests {
         let c = EpochConfig::new(10_000, 100_000);
         assert_eq!(c.epoch_count(), 10);
         assert_eq!(EpochConfig::new(10_000, 100_001).epoch_count(), 11);
-        assert_eq!(c.epoch_of_ms(0), 0);
-        assert_eq!(c.epoch_of_ms(9_999), 0);
-        assert_eq!(c.epoch_of_ms(10_000), 1);
-        assert_eq!(c.epoch_of_ms(999_999), 9); // clamped
     }
 
     #[test]
@@ -182,11 +157,8 @@ mod tests {
         let v = ActivityVector::from_intervals(&[(5, 25), (30, 40), (100, 115)], cfg);
         assert_eq!(v.runs(), &[(0, 4), (10, 12)]);
         assert_eq!(v.active_epochs(), 6);
-        assert!(v.is_active(0));
-        assert!(v.is_active(3));
-        assert!(!v.is_active(4));
-        assert!(v.is_active(11));
-        assert!(!v.is_active(12));
+        let epochs: Vec<u32> = v.iter_epochs().collect();
+        assert_eq!(epochs, vec![0, 1, 2, 3, 10, 11]);
     }
 
     #[test]
@@ -203,7 +175,7 @@ mod tests {
         let v = ActivityVector::empty(100);
         assert_eq!(v.active_epochs(), 0);
         assert_eq!(v.active_ratio(), 0.0);
-        assert!(!v.is_active(0));
+        assert_eq!(v.iter_epochs().next(), None);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! before the bursts arrive."
 //!
 //! A *burst* is a window in which the tenant's activity far exceeds its own
-//! baseline. [`BurstDetector::detect_bursts`] finds such windows; [`RecurringBurst`]s are
-//! bursts that recur at a near-constant period across the history, letting
-//! the Deployment Advisor schedule a proactive exclusion ahead of the next
-//! predicted occurrence.
+//! baseline. [`BurstDetector::recurring`] finds such windows and returns
+//! them as a [`RecurringBurst`] when they recur at a near-constant period
+//! across the history, letting the Deployment Advisor schedule a proactive
+//! exclusion ahead of the next predicted occurrence.
 
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +66,7 @@ pub struct RecurringBurst {
 impl BurstDetector {
     /// Busy fraction per window over `[0, horizon_ms)` from merged busy
     /// intervals.
-    pub fn window_profile(&self, intervals: &[(u64, u64)], horizon_ms: u64) -> Vec<f64> {
+    fn window_profile(&self, intervals: &[(u64, u64)], horizon_ms: u64) -> Vec<f64> {
         assert!(self.window_ms > 0, "window must be positive");
         let windows = horizon_ms.div_ceil(self.window_ms) as usize;
         let mut busy = vec![0u64; windows];
@@ -87,7 +87,7 @@ impl BurstDetector {
     }
 
     /// Detects burst windows in a tenant's history.
-    pub fn detect_bursts(&self, intervals: &[(u64, u64)], horizon_ms: u64) -> Vec<Burst> {
+    fn detect_bursts(&self, intervals: &[(u64, u64)], horizon_ms: u64) -> Vec<Burst> {
         let profile = self.window_profile(intervals, horizon_ms);
         if profile.is_empty() {
             return Vec::new();

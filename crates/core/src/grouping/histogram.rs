@@ -58,14 +58,9 @@ impl ActiveCountHistogram {
         self.members
     }
 
-    /// Highest concurrent-active level that occurs in any epoch.
-    pub fn max_level(&self) -> usize {
-        self.level_hist.iter().rposition(|&n| n > 0).unwrap_or(0)
-    }
-
     /// The histogram over count levels (`[c]` = epochs with exactly `c`
-    /// active members). Trailing zero levels are trimmed lazily, so prefer
-    /// [`Self::max_level`] over `len() - 1`.
+    /// active members). Trailing zero levels are trimmed lazily, so
+    /// `len() - 1` can exceed the highest level that occurs.
     pub fn level_hist(&self) -> &[u64] {
         &self.level_hist
     }
@@ -233,7 +228,6 @@ mod tests {
     fn empty_group_is_fully_compliant() {
         let h = ActiveCountHistogram::new(10);
         assert_eq!(h.ttp(0), 1.0);
-        assert_eq!(h.max_level(), 0);
         assert_eq!(h.epochs_above(0), 0);
     }
 
@@ -243,7 +237,6 @@ mod tests {
         h.add(&av(&[0, 1, 2], 10));
         h.add(&av(&[2, 3], 10));
         assert_eq!(h.members(), 2);
-        assert_eq!(h.max_level(), 2);
         // counts: [1,1,2,1,0,0,0,0,0,0]
         assert_eq!(h.epochs_above(0), 4);
         assert_eq!(h.epochs_above(1), 1);

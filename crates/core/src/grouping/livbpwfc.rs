@@ -126,11 +126,6 @@ impl GroupingProblem {
         h.ttp(self.replication)
     }
 
-    /// Whether a member set satisfies the fuzzy capacity constraint.
-    pub fn group_feasible(&self, members: &[usize]) -> bool {
-        self.group_ttp(members) >= self.sla_p
-    }
-
     /// Nodes the tenant-driven design uses for a member set:
     /// `R · max n_i` (Property 1 with `U = n_1`).
     pub fn group_nodes(&self, members: &[usize]) -> u64 {
@@ -375,8 +370,7 @@ pub(crate) mod tests {
         let p = figure_5_1_problem(3, 0.999);
         // S = {T1, T4, T5, T6} -> 9 of 10 epochs have <= 3 active.
         assert!((p.group_ttp(&[0, 3, 4, 5]) - 0.9).abs() < 1e-12);
-        assert!(!p.group_feasible(&[0, 3, 4, 5]));
-        assert!(p.group_feasible(&[1, 2]));
+        assert_eq!(p.group_ttp(&[1, 2]), 1.0);
     }
 
     #[test]

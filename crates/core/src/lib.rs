@@ -107,7 +107,7 @@ pub mod prelude {
     pub use crate::metrics::ConsolidationReport;
     pub use crate::monitor::GroupActivityMonitor;
     pub use crate::reconsolidation::{
-        BoundedPlan, ControllerConfig, CyclePlan, PlannedGroup, Reconsolidator, SkipCounts,
+        ControllerConfig, CyclePlan, PlannedGroup, Reconsolidator, SkipCounts,
     };
     pub use crate::routing::{QueryRouter, Route, RouteKind};
     pub use crate::scaling::{identify_over_active, ScalingEvent};

@@ -85,13 +85,6 @@ pub struct PlannedGroup {
     pub node_size: u32,
 }
 
-impl PlannedGroup {
-    /// Nodes this build will draw from the free pool.
-    pub fn nodes_needed(&self) -> usize {
-        (self.replication as usize) * (self.node_size as usize)
-    }
-}
-
 /// The diff between the serving deployment and the advisor's new one: the
 /// groups to build, the current group indices to keep serving unchanged,
 /// and the current group indices to retire after cutover.
@@ -111,12 +104,6 @@ impl CyclePlan {
     /// Whether the cycle would change nothing (every group kept).
     pub fn is_noop(&self) -> bool {
         self.builds.is_empty() && self.retire.is_empty()
-    }
-
-    /// Peak extra nodes the cycle needs while old and new deployments
-    /// coexist.
-    pub fn nodes_needed(&self) -> usize {
-        self.builds.iter().map(PlannedGroup::nodes_needed).sum()
     }
 }
 
@@ -233,17 +220,16 @@ impl Default for ControllerConfig {
 
 /// A churn-bounded plan plus what the bounds held back.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct BoundedPlan {
+struct BoundedPlan {
     /// The plan after hysteresis and the build cap.
-    pub plan: CyclePlan,
+    plan: CyclePlan,
     /// Tenant moves deferred by the hysteresis this evaluation.
-    pub deferred_moves: u64,
+    deferred_moves: u64,
     /// Builds deferred by `max_builds_per_cycle` this evaluation.
-    pub capped_builds: u64,
+    capped_builds: u64,
 }
 
-/// Per-cause skip counters of one driver (satellite of the old conflated
-/// `cycles_skipped`).
+/// Per-cause skip counters of one driver.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SkipCounts {
     /// Previous cycle still executing or registrations still loading.
@@ -365,12 +351,6 @@ impl Reconsolidator {
         self.cycles_planned
     }
 
-    /// Due cycles that were skipped, across all causes (see
-    /// [`Reconsolidator::skip_counts`] for the attribution).
-    pub fn cycles_skipped(&self) -> u64 {
-        self.skips.total()
-    }
-
     /// Per-cause skip counters.
     pub fn skip_counts(&self) -> SkipCounts {
         self.skips
@@ -389,11 +369,6 @@ impl Reconsolidator {
     /// Period/window adaptations applied so far.
     pub fn adaptations(&self) -> u64 {
         self.adaptations
-    }
-
-    /// The error measured at the most recent evaluation.
-    pub fn last_error(&self) -> f64 {
-        self.last_error
     }
 
     /// Plans a cycle from the service's *observed* activity without
@@ -475,7 +450,7 @@ impl Reconsolidator {
     /// rebuild graph (a build and every group it drains retire or defer
     /// together), so the bounded plan stays valid. Components placing
     /// parked registrations are mandatory and never deferred.
-    pub fn bound_plan(&mut self, service: &ThriftyService, full: CyclePlan) -> BoundedPlan {
+    fn bound_plan(&mut self, service: &ThriftyService, full: CyclePlan) -> BoundedPlan {
         let k = self.controller.hysteresis_cycles;
         let cap = self.controller.max_builds_per_cycle;
         if full.is_noop() {
@@ -1072,7 +1047,7 @@ mod tests {
         assert_eq!(r.skip_counts().insufficient_nodes, 1);
         assert_eq!(r.skip_counts().busy, 0);
         assert_eq!(r.skip_counts().noop, 0);
-        assert_eq!(r.cycles_skipped(), 1);
+        assert_eq!(r.skip_counts().total(), 1);
     }
 
     #[test]
@@ -1317,14 +1292,12 @@ mod tests {
             replication: 3,
             node_size: 4,
         };
-        assert_eq!(g.nodes_needed(), 12);
         let plan = CyclePlan {
             builds: vec![g],
             keep: vec![0],
             retire: vec![1],
         };
         assert!(!plan.is_noop());
-        assert_eq!(plan.nodes_needed(), 12);
         assert!(CyclePlan::default().is_noop());
     }
 

@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Index of an MPPDB within one tenant-group (0 = the tuning MPPDB).
-pub type MppdbIndex = usize;
+type MppdbIndex = usize;
 
 /// Routing decisions, annotated with which rule of Algorithm 1 fired —
 /// useful for tests and for the Tenant Activity Monitor (rule 4 hits are
@@ -81,11 +81,6 @@ impl QueryRouter {
         }
     }
 
-    /// Number of MPPDBs (`A`).
-    pub fn mppdb_count(&self) -> usize {
-        self.active.len()
-    }
-
     /// Whether MPPDB `j` currently executes no queries — "free" in the
     /// paper's sense.
     pub fn is_free(&self, j: MppdbIndex) -> bool {
@@ -116,7 +111,7 @@ impl QueryRouter {
     }
 
     /// Computes the routing decision without recording the query.
-    pub fn peek_route(&self, tenant: TenantId) -> Route {
+    fn peek_route(&self, tenant: TenantId) -> Route {
         let (mppdb, kind) = if let Some(j) = self.serving(tenant) {
             // Rule 1: stickiness while the tenant is active.
             (j, RouteKind::Sticky)
@@ -264,14 +259,15 @@ mod tests {
     fn active_count_stays_consistent_with_a_recount() {
         // Each MPPDB's served-tenant count must agree with a from-scratch
         // recount of the serving map after every operation.
+        let a = 2;
         let recount = |r: &QueryRouter| {
-            let mut per = vec![0usize; r.mppdb_count()];
+            let mut per = vec![0usize; a];
             for &(j, _) in r.serving.values() {
                 per[j] += 1;
             }
             per
         };
-        let mut r = QueryRouter::new(2);
+        let mut r = QueryRouter::new(a);
         let mut placed: Vec<(MppdbIndex, TenantId)> = Vec::new();
         for t in [T1, T2, T4, T1, T9, T2, T1] {
             placed.push((r.route(t).mppdb, t));

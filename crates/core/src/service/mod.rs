@@ -106,13 +106,6 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A builder pre-seeded with this configuration's values — the
-    /// starting point for a hot-reload candidate, which re-runs the same
-    /// [`ServiceConfigBuilder::build`] validation over the edited knobs.
-    pub fn to_builder(&self) -> ServiceConfigBuilder {
-        ServiceConfigBuilder { cfg: self.clone() }
-    }
-
     /// Starts a fluent builder seeded with [`ServiceConfig::default`].
     pub fn builder() -> ServiceConfigBuilder {
         ServiceConfigBuilder::default()
@@ -312,7 +305,7 @@ pub struct IncomingQuery {
 /// activity shape [`DeploymentAdvisor`](crate::advisor::DeploymentAdvisor)
 /// consumes, as produced by
 /// [`ThriftyService::observed_activity_intervals`].
-pub type ObservedHistory = TenantHistory;
+type ObservedHistory = TenantHistory;
 
 /// A query in flight, from dispatch to completion. A scale-out migration
 /// keeps `incoming` and `submitted_abs`, so SLA grading stays anchored to
@@ -687,7 +680,7 @@ impl ThriftyService {
     /// builder validation (e.g. `sla_p` outside `(0, 1]`); nothing is
     /// applied in that case, including otherwise-safe knobs.
     pub fn apply_config(&mut self, candidate: ServiceConfig) -> ThriftyResult<ConfigDelta> {
-        let candidate = candidate.to_builder().build()?;
+        let candidate = ServiceConfigBuilder { cfg: candidate }.build()?;
         let (cur, new) = (&self.config, &candidate);
         let applied = [
             knob_change(
@@ -1233,7 +1226,7 @@ mod tests {
                 tenant: TenantId(0),
                 submit: SimTime::ZERO,
                 template: TemplateId(77),
-                baseline: SimDuration::SECOND,
+                baseline: SimDuration::from_secs(1),
             }])
             .unwrap_err();
         assert_eq!(err, ThriftyError::UnknownTemplate(TemplateId(77)));

@@ -20,7 +20,7 @@
 //! * `queries.migrated` and the eight `controller.*` decision counters;
 //! * the `groups` gauge (live tenant-group count);
 //! * the `query.latency_ms` and `query.slowdown_pct` log-scale
-//!   [`Histogram`]s (power-of-two buckets, so recording is two integer
+//!   histograms (power-of-two buckets, so recording is two integer
 //!   additions and a branch).
 //!
 //! ## Determinism contract
@@ -159,7 +159,7 @@ const COUNTERS: usize = Counter::NAMES.len();
 /// `[2^(i-1), 2^i)`. Recording is O(1) and allocation-free once the
 /// bucket vector has grown to the largest observed magnitude.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Histogram {
+struct Histogram {
     buckets: Vec<u64>,
     count: u64,
     sum: u64,
@@ -199,11 +199,6 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -216,7 +211,7 @@ impl Histogram {
     /// An upper bound for the `q`-quantile (`0.0 ..= 1.0`): the inclusive
     /// upper edge of the bucket containing the rank-`⌈q·count⌉`
     /// observation, clamped to the observed maximum.
-    pub fn quantile(&self, q: f64) -> u64 {
+    fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -248,7 +243,7 @@ impl Histogram {
     }
 }
 
-/// Serializable summary of one [`Histogram`].
+/// Serializable summary of one log-scale histogram.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Number of observations.
@@ -267,7 +262,8 @@ pub struct HistogramSnapshot {
     pub p95: u64,
     /// 99th-percentile upper bound (bucket resolution).
     pub p99: u64,
-    /// Raw power-of-two bucket counts (see [`Histogram`]).
+    /// Raw power-of-two bucket counts: bucket 0 holds the value `0`,
+    /// bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`.
     pub buckets: Vec<u64>,
 }
 
@@ -884,11 +880,11 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1106);
         assert_eq!(h.quantile(0.0), 0);
         assert!(h.quantile(0.5) <= 3);
         assert_eq!(h.quantile(1.0), 1000);
         let s = h.snapshot();
+        assert_eq!(s.sum, 1106);
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 1000);
         assert!((s.mean - 1106.0 / 6.0).abs() < 1e-9);

@@ -40,8 +40,8 @@ pub struct DaemonCore {
 impl DaemonCore {
     /// Validates `config`, deploys the initial plan, and anchors `clock`
     /// at the deployment-ready instant. `config_path` enables file-based
-    /// `Reload`; pass `None` for in-process harnesses that reload via
-    /// [`DaemonCore::reload_from`].
+    /// `Reload`; in-process harnesses pass `None`, and their `Reload`
+    /// requests fail with [`DaemonError::Config`].
     ///
     /// # Errors
     /// Config validation and deployment failures.
@@ -259,7 +259,7 @@ impl DaemonCore {
     ///
     /// # Errors
     /// Validation failures reject the whole candidate and change nothing.
-    pub fn reload_from(&mut self, candidate: DaemonConfig) -> DaemonResult<ReloadView> {
+    fn reload_from(&mut self, candidate: DaemonConfig) -> DaemonResult<ReloadView> {
         candidate.validate()?;
         let mut rejected_sections = Vec::new();
         let mut refuse = |section: &str, reason: &str| {
@@ -320,7 +320,7 @@ impl DaemonCore {
     }
 
     /// The full status view.
-    pub fn status_view(&self) -> StatusView {
+    fn status_view(&self) -> StatusView {
         let service = &self.service;
         let log_now_ms = service.log_now().as_ms();
         let tenants: Vec<TenantStatus> = service
@@ -383,7 +383,7 @@ impl DaemonCore {
     }
 
     /// The re-consolidation / cutover view.
-    pub fn cutover_view(&self) -> CutoverView {
+    fn cutover_view(&self) -> CutoverView {
         let skips = self.recon.skip_counts();
         CutoverView {
             active: self.service.reconsolidation_active(),

@@ -265,7 +265,7 @@ pub const RULES: [RuleInfo; 9] = [
 ];
 
 /// Looks up a rule by id (`"L1"`…`"L9"`, case-insensitive) or by allow key.
-pub fn rule_info(query: &str) -> Option<&'static RuleInfo> {
+fn rule_info(query: &str) -> Option<&'static RuleInfo> {
     let q = query.trim();
     RULES
         .iter()

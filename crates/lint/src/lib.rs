@@ -46,9 +46,8 @@ pub mod rules;
 pub mod tokenizer;
 pub mod tree;
 
-pub use config::{explain, rule_info, CrateScope, LayeringContract, RuleInfo, RULES};
+pub use config::{explain, CrateScope, LayeringContract, RULES};
 pub use report::{render_json, render_text, Finding, LintReport};
-pub use rules::layering::{dep_graph as build_dep_graph, DepGraph, EdgeSite};
 
 use std::fs;
 use std::io;
@@ -62,22 +61,10 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
     rules::run_all(files, &LayeringContract::default())
 }
 
-/// [`lint_sources`] with a caller-supplied layering contract.
-pub fn lint_sources_with(files: &[(&str, &str)], contract: &LayeringContract) -> Vec<Finding> {
-    rules::run_all(files, contract)
-}
-
 /// Lints one file's source text (a one-file tree; the tree-wide passes
 /// still run, scoped to what a single file can show).
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     lint_sources(&[(path, source)])
-}
-
-/// Builds the inter-crate / inter-module dependency graph for a file set
-/// without running the rules (test subtrees excluded).
-pub fn dep_graph(files: &[(&str, &str)]) -> DepGraph {
-    let run = rules::Run::new(files);
-    rules::layering::dep_graph(&run.units)
 }
 
 /// Per-token scope assignment for one file — the tokenizer↔tree seam,

@@ -1,8 +1,8 @@
 //! L6: the crate layering contract.
 //!
 //! Parses `use` / path tokens tree-wide (any identifier that names a
-//! workspace crate and is followed by `::`), builds the inter-crate and
-//! inter-module dependency graph, and enforces the declarative
+//! workspace crate and is followed by `::`), builds the inter-crate
+//! dependency graph, and enforces the declarative
 //! [`LayeringContract`]: every observed crate edge must be permitted, and
 //! the observed crate graph must be acyclic. Test subtrees are exempt —
 //! dev-dependencies legitimately point "up" the stack (core's unit tests
@@ -16,29 +16,22 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Where an edge was first observed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EdgeSite {
+struct EdgeSite {
     /// File the referencing token lives in.
-    pub file: String,
+    file: String,
     /// 1-based line.
-    pub line: usize,
+    line: usize,
     /// 1-based column.
-    pub column: usize,
+    column: usize,
 }
 
-/// The dependency graph the pass builds: crate-granularity edges (what
-/// the contract constrains) and module-granularity edges (`crate::foo`
-/// and `other_crate::foo` references, kept for reporting and tests).
-#[derive(Clone, Debug, Default)]
-pub struct DepGraph {
-    /// `(from crate, to crate)` → first site, self-edges excluded.
-    pub crate_edges: BTreeMap<(CrateScope, CrateScope), EdgeSite>,
-    /// `(from module path, to module path)` → first site.
-    pub module_edges: BTreeMap<(String, String), EdgeSite>,
-}
+/// `(from crate, to crate)` → first site, self-edges excluded.
+type CrateEdges = BTreeMap<(CrateScope, CrateScope), EdgeSite>;
 
-/// Builds the dependency graph over a set of units (test tokens skipped).
-pub fn dep_graph(units: &[super::FileUnit<'_>]) -> DepGraph {
-    let mut graph = DepGraph::default();
+/// Builds the crate dependency graph over a set of units (test tokens
+/// skipped).
+fn crate_edges(units: &[super::FileUnit<'_>]) -> CrateEdges {
+    let mut edges = CrateEdges::new();
     for unit in units {
         let toks = &unit.lexed.tokens;
         for (i, tok) in toks.iter().enumerate() {
@@ -53,40 +46,20 @@ pub fn dep_graph(units: &[super::FileUnit<'_>]) -> DepGraph {
             if i > 0 && toks[i - 1].text == "::" {
                 continue;
             }
-            let site = EdgeSite {
-                file: unit.path.clone(),
-                line: tok.line,
-                column: tok.column,
-            };
-            let seg = toks.get(i + 2).filter(|t| t.kind == TokKind::Ident);
             if let Some(target) = CrateScope::from_crate_ident(&tok.text) {
                 if target != unit.scope {
-                    graph
-                        .crate_edges
+                    edges
                         .entry((unit.scope, target))
-                        .or_insert_with(|| site.clone());
-                    if let Some(seg) = seg {
-                        let to = format!("{}::{}", target.short_name(), seg.text);
-                        graph
-                            .module_edges
-                            .entry((unit.module.clone(), to))
-                            .or_insert(site);
-                    }
-                }
-            } else if tok.text == "crate" {
-                if let Some(seg) = seg {
-                    let to = format!("{}::{}", unit.scope.short_name(), seg.text);
-                    if to != unit.module {
-                        graph
-                            .module_edges
-                            .entry((unit.module.clone(), to))
-                            .or_insert(site);
-                    }
+                        .or_insert_with(|| EdgeSite {
+                            file: unit.path.clone(),
+                            line: tok.line,
+                            column: tok.column,
+                        });
                 }
             }
         }
     }
-    graph
+    edges
 }
 
 /// Runs the layering pass over the whole file set.
@@ -139,19 +112,15 @@ pub fn check(run: &mut Run<'_>, contract: &LayeringContract, findings: &mut Vec<
 
     // Cycle detection over the observed crate graph (allowed edges
     // included — a contract edit must not be able to smuggle a cycle in).
-    let graph = dep_graph(&run.units);
-    if let Some(cycle) = find_cycle(&graph) {
+    let edges = crate_edges(&run.units);
+    if let Some(cycle) = find_cycle(&edges) {
         let names: Vec<&str> = cycle.iter().map(|c| c.short_name()).collect();
         let first_edge = (cycle[0], cycle[1]);
-        let site = graph
-            .crate_edges
-            .get(&first_edge)
-            .cloned()
-            .unwrap_or(EdgeSite {
-                file: String::new(),
-                line: 0,
-                column: 0,
-            });
+        let site = edges.get(&first_edge).cloned().unwrap_or(EdgeSite {
+            file: String::new(),
+            line: 0,
+            column: 0,
+        });
         findings.push(Finding {
             rule: "L6".to_string(),
             file: site.file.clone(),
@@ -173,9 +142,9 @@ pub fn check(run: &mut Run<'_>, contract: &LayeringContract, findings: &mut Vec<
 }
 
 /// Finds a crate-level cycle, returned as `[a, b, .., a]`.
-fn find_cycle(graph: &DepGraph) -> Option<Vec<CrateScope>> {
+fn find_cycle(edges: &CrateEdges) -> Option<Vec<CrateScope>> {
     let mut adjacency: BTreeMap<CrateScope, Vec<CrateScope>> = BTreeMap::new();
-    for (from, to) in graph.crate_edges.keys() {
+    for (from, to) in edges.keys() {
         adjacency.entry(*from).or_default().push(*to);
     }
     let mut visited: BTreeSet<CrateScope> = BTreeSet::new();

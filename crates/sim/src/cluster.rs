@@ -71,17 +71,6 @@ pub struct QueryCompletion {
     pub dedicated_latency: SimDuration,
 }
 
-impl QueryCompletion {
-    /// Slowdown relative to dedicated execution on the same instance
-    /// (1.0 = no multi-tenancy interference).
-    pub fn slowdown_vs_dedicated(&self) -> f64 {
-        if self.dedicated_latency == SimDuration::ZERO {
-            return 1.0;
-        }
-        self.latency.as_ms() as f64 / self.dedicated_latency.as_ms() as f64
-    }
-}
-
 /// Observable events produced by the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum SimEvent {
@@ -841,7 +830,7 @@ mod tests {
         match events[0] {
             SimEvent::QueryCompleted(comp) => {
                 assert_eq!(comp.latency, SimDuration::from_ms(15_000));
-                assert!((comp.slowdown_vs_dedicated() - 1.0).abs() < 1e-6);
+                assert_eq!(comp.latency, comp.dedicated_latency);
             }
             other => panic!("unexpected event {other:?}"),
         }
@@ -861,7 +850,7 @@ mod tests {
             match e {
                 SimEvent::QueryCompleted(comp) => {
                     assert_eq!(comp.latency, SimDuration::from_ms(30_000));
-                    assert!((comp.slowdown_vs_dedicated() - 2.0).abs() < 1e-6);
+                    assert_eq!(comp.latency.as_ms(), 2 * comp.dedicated_latency.as_ms());
                 }
                 other => panic!("unexpected event {other:?}"),
             }

@@ -37,13 +37,6 @@ pub fn count_u64(n: usize) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
-/// Saturating `u128 -> u64` for averaged accumulators whose quotient is
-/// known to fit (a mean never exceeds the largest sample).
-#[inline]
-pub fn ms_from_u128(ms: u128) -> u64 {
-    u64::try_from(ms).unwrap_or(u64::MAX)
-}
-
 /// `f64` milliseconds -> `u64`, rounding to the nearest tick. Negative and
 /// non-finite inputs map to zero; overflow saturates (Rust float->int `as`
 /// casts saturate since 1.45, which this helper makes explicit and audited).
@@ -65,17 +58,6 @@ pub fn ceil_ms_f64(ms: f64) -> u64 {
     ms.ceil() as u64 // lint: allow(cast)
 }
 
-/// `f64` -> `usize` rank for nearest-rank quantiles: ceiling, clamped to
-/// zero for negative/non-finite inputs; the caller clamps the upper bound
-/// to the sample count.
-#[inline]
-pub fn ceil_rank_f64(x: f64) -> usize {
-    if !x.is_finite() || x <= 0.0 {
-        return 0;
-    }
-    x.ceil() as usize // lint: allow(cast)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,8 +72,6 @@ mod tests {
     #[test]
     fn count_saturates_instead_of_wrapping() {
         assert_eq!(count_u32(usize::MAX), u32::MAX);
-        assert_eq!(ms_from_u128(u128::MAX), u64::MAX);
-        assert_eq!(ms_from_u128(42), 42);
     }
 
     #[test]
@@ -103,8 +83,6 @@ mod tests {
         assert_eq!(round_ms_f64(1.5), 2);
         assert_eq!(ceil_ms_f64(1.0001), 2);
         assert_eq!(ceil_ms_f64(f64::NAN), 0);
-        assert_eq!(ceil_rank_f64(2.2), 3);
-        assert_eq!(ceil_rank_f64(-3.0), 0);
     }
 
     #[test]

@@ -245,12 +245,6 @@ impl MppdbInstance {
         self.hosted.values().sum()
     }
 
-    /// Whether this instance currently executes a query of `tenant` — the
-    /// stickiness predicate of Algorithm 1 line 1.
-    pub fn serves_tenant(&self, tenant: SimTenantId) -> bool {
-        self.running.iter().any(|q| q.spec.tenant == tenant)
-    }
-
     pub(crate) fn set_state(&mut self, state: InstanceState) {
         self.state = state;
     }
@@ -431,8 +425,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, QueryId(1));
         assert_eq!(i.concurrency(), 1);
-        assert!(i.serves_tenant(SimTenantId(1)));
-        assert!(!i.serves_tenant(SimTenantId(0)));
+        assert_eq!(i.running[0].spec.tenant, SimTenantId(1));
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod failure;
 pub mod hash;
 pub mod instance;
 pub mod loading;
-pub mod metrics;
 pub mod node;
 pub mod query;
 pub mod time;
@@ -64,7 +63,6 @@ pub mod prelude {
     pub use crate::failure::FailurePlan;
     pub use crate::instance::{InstanceId, InstanceState, InstanceStats, MppdbInstance};
     pub use crate::loading::ProvisioningModel;
-    pub use crate::metrics::{LatencyStats, NormalizedPerf};
     pub use crate::node::{Node, NodeId, NodeState};
     pub use crate::query::{QueryId, QuerySpec, QueryTemplate, SimTenantId, TemplateId};
     pub use crate::time::{SimDuration, SimTime};

@@ -133,7 +133,7 @@ mod tests {
         // the times of starting the machines".
         let m = ProvisioningModel::paper_calibrated();
         for (nodes, gb, _, _) in TABLE_5_1 {
-            assert!(m.bulk_load_time(gb) > m.startup_time(nodes).mul_f64(5.0));
+            assert!(m.bulk_load_time(gb).as_ms() > 5 * m.startup_time(nodes).as_ms());
         }
     }
 

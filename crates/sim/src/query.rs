@@ -81,11 +81,6 @@ impl QueryTemplate {
             serial_fraction,
         }
     }
-
-    /// Whether the template scales out (approximately) linearly.
-    pub fn is_linear_scale_out(&self) -> bool {
-        self.serial_fraction == 0.0
-    }
 }
 
 /// A concrete query to execute: a template applied to a tenant's dataset.
@@ -126,9 +121,9 @@ mod tests {
     #[test]
     fn template_construction_validates() {
         let t = QueryTemplate::new(TemplateId(1), 500.0, 0.0);
-        assert!(t.is_linear_scale_out());
+        assert_eq!(t.serial_fraction, 0.0);
         let t2 = QueryTemplate::new(TemplateId(2), 500.0, 0.3);
-        assert!(!t2.is_linear_scale_out());
+        assert_eq!(t2.serial_fraction, 0.3);
     }
 
     #[test]

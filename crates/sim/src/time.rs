@@ -52,24 +52,11 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// One millisecond.
-    pub const MILLISECOND: SimDuration = SimDuration(1);
-    /// One second.
-    pub const SECOND: SimDuration = SimDuration(1_000);
-    /// One minute.
-    pub const MINUTE: SimDuration = SimDuration(60_000);
-    /// One hour.
-    pub const HOUR: SimDuration = SimDuration(3_600_000);
     /// One (simulated) day.
     pub const DAY: SimDuration = SimDuration(86_400_000);
 
@@ -103,12 +90,6 @@ impl SimDuration {
     /// Seconds in this duration, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1000.0
-    }
-
-    /// Multiplies the duration by a non-negative factor, rounding to the
-    /// nearest millisecond.
-    pub fn mul_f64(self, factor: f64) -> Self {
-        SimDuration::from_ms_f64(self.0 as f64 * factor)
     }
 
     /// Saturating duration subtraction.
@@ -193,14 +174,10 @@ mod tests {
             t.saturating_since(SimTime::from_secs(20)),
             SimDuration::ZERO
         );
-        assert_eq!(t.checked_since(SimTime::from_secs(20)), None);
     }
 
     #[test]
     fn duration_constants_are_consistent() {
-        assert_eq!(SimDuration::SECOND.as_ms(), 1000);
-        assert_eq!(SimDuration::MINUTE.as_ms(), 60 * 1000);
-        assert_eq!(SimDuration::HOUR.as_ms(), 60 * 60 * 1000);
         assert_eq!(SimDuration::DAY.as_ms(), 24 * 60 * 60 * 1000);
     }
 
@@ -210,12 +187,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_ms_f64(0.6).as_ms(), 1);
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        assert_eq!(SimDuration::from_secs(10).mul_f64(1.5).as_ms(), 15_000);
-        assert_eq!(SimDuration::from_secs(10).mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

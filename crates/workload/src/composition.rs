@@ -76,7 +76,7 @@ impl<'a> Composer<'a> {
 
     /// The public-holiday weekdays for a time zone (shared by all tenants in
     /// that zone, per §7.1).
-    pub fn holidays_for_zone(&self, offset_hours: u64) -> Vec<u64> {
+    fn holidays_for_zone(&self, offset_hours: u64) -> Vec<u64> {
         let workdays: Vec<u64> = (0..self.cfg.horizon_days)
             .filter(|d| d % 7 < self.cfg.workdays_per_week)
             .collect();

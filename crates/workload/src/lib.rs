@@ -67,9 +67,7 @@ pub mod prelude {
         AdversarialScenario, ChurnEvent, ScenarioConfig, ScenarioKind, ScenarioQuery,
         SCENARIO_TEMPLATE,
     };
-    pub use crate::templates::{
-        catalog, template_name, tpch_q1, tpch_q19, Benchmark, NamedTemplate,
-    };
+    pub use crate::templates::{catalog, tpch_q1, tpch_q19, Benchmark, NamedTemplate};
     pub use crate::tenant::TenantSpec;
     pub use crate::wakeup::WakeupHeap;
     pub use crate::zipf::ZipfSampler;

@@ -69,11 +69,6 @@ impl SessionLibrary {
         let pool = self.sessions(parallelism, benchmark);
         &pool[rng.gen_range(0..pool.len())]
     }
-
-    /// Number of distinct `(parallelism, benchmark)` pools.
-    pub fn pool_count(&self) -> usize {
-        self.sessions.len()
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +81,6 @@ mod tests {
         cfg.parallelism_levels = vec![2, 4];
         cfg.session_trials = 3;
         let lib = SessionLibrary::generate(&cfg);
-        assert_eq!(lib.pool_count(), 4);
         for &level in &cfg.parallelism_levels {
             for benchmark in Benchmark::ALL {
                 let pool = lib.sessions(level, benchmark);

@@ -96,18 +96,6 @@ pub struct MultiTenantLog {
 }
 
 impl MultiTenantLog {
-    /// All query events across tenants, globally ordered by submit time
-    /// (ties broken by tenant id) — the replay order for the service loop.
-    pub fn merged_events(&self) -> Vec<QueryEvent> {
-        let mut all: Vec<QueryEvent> = self
-            .tenants
-            .iter()
-            .flat_map(|t| t.events.iter().copied())
-            .collect();
-        all.sort_by_key(|e| (e.submit, e.tenant));
-        all
-    }
-
     /// Total number of query events.
     pub fn event_count(&self) -> usize {
         self.tenants.iter().map(|t| t.events.len()).sum()
@@ -147,7 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_events_are_globally_sorted() {
+    fn event_count_sums_every_tenant_log() {
         let m = MultiTenantLog {
             horizon_ms: 1000,
             tenants: vec![
@@ -161,12 +149,6 @@ mod tests {
                 },
             ],
         };
-        let merged = m.merged_events();
         assert_eq!(m.event_count(), 4);
-        assert_eq!(merged[0].tenant, SimTenantId(1));
-        assert_eq!(merged[1].tenant, SimTenantId(0));
-        // Tie at 300 ms broken by tenant id.
-        assert_eq!(merged[2].tenant, SimTenantId(0));
-        assert_eq!(merged[3].tenant, SimTenantId(1));
     }
 }

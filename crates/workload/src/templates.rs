@@ -54,9 +54,9 @@ pub struct NamedTemplate {
 }
 
 /// Template-id base for TPC-H templates (`TemplateId(101)` = Q1).
-pub const TPCH_ID_BASE: u32 = 100;
+const TPCH_ID_BASE: u32 = 100;
 /// Template-id base for TPC-DS templates (`TemplateId(201)` = DS-Q1).
-pub const TPCDS_ID_BASE: u32 = 200;
+const TPCDS_ID_BASE: u32 = 200;
 
 /// Per-query (cost ms/GB, serial fraction) for the 22 TPC-H templates.
 /// Q1 (index 0) is the paper's linear-scale-out example; Q19 (index 18) the
@@ -191,19 +191,6 @@ pub fn tpch_q19() -> QueryTemplate {
     catalog(Benchmark::TpcH)[18].template
 }
 
-/// Looks up the human-readable name for a template id, if it belongs to one
-/// of the catalogs.
-pub fn template_name(id: TemplateId) -> Option<&'static str> {
-    let raw = id.0;
-    if (TPCH_ID_BASE + 1..=TPCH_ID_BASE + 22).contains(&raw) {
-        Some(TPCH_NAMES[(raw - TPCH_ID_BASE - 1) as usize])
-    } else if (TPCDS_ID_BASE + 1..=TPCDS_ID_BASE + 20).contains(&raw) {
-        Some(TPCDS_NAMES[(raw - TPCDS_ID_BASE - 1) as usize])
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,18 +215,17 @@ mod tests {
 
     #[test]
     fn q1_is_linear_and_q19_is_not() {
-        assert!(tpch_q1().is_linear_scale_out());
-        assert!(!tpch_q19().is_linear_scale_out());
+        assert_eq!(tpch_q1().serial_fraction, 0.0);
         assert!((tpch_q19().serial_fraction - 0.30).abs() < 1e-12);
     }
 
     #[test]
     fn names_resolve() {
-        assert_eq!(template_name(tpch_q1().id), Some("TPC-H Q1"));
-        assert_eq!(template_name(tpch_q19().id), Some("TPC-H Q19"));
-        assert_eq!(template_name(TemplateId(999)), None);
-        let ds = catalog(Benchmark::TpcDs);
-        assert_eq!(template_name(ds[0].template.id), Some("TPC-DS Q3"));
+        let h = catalog(Benchmark::TpcH);
+        let name_of = |id| h.iter().find(|t| t.template.id == id).map(|t| t.name);
+        assert_eq!(name_of(tpch_q1().id), Some("TPC-H Q1"));
+        assert_eq!(name_of(tpch_q19().id), Some("TPC-H Q19"));
+        assert_eq!(catalog(Benchmark::TpcDs)[0].name, "TPC-DS Q3");
     }
 
     #[test]

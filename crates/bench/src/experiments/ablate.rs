@@ -5,6 +5,8 @@
 //! * **Step-1 homogeneous size grouping** — on vs off: without it, the
 //!   greedy step mixes node sizes and the largest-item objective charges
 //!   every mixed group for its biggest member.
+//! * **Group closing** — fill until no candidate fits vs the literal
+//!   Algorithm 2, which closes a group the first time `T_best` fails.
 
 use crate::pipeline::{defaults, Harness};
 use crate::report::{dur, num, pct, ExperimentResult, Table};
@@ -15,7 +17,7 @@ use thrifty::prelude::*;
 /// Runs the grouping ablations on the default corpus.
 pub fn ablate(harness: &Harness) -> ExperimentResult {
     let corpus = harness.default_histories();
-    let variants: [(&str, TwoStepConfig); 3] = [
+    let variants: [(&str, TwoStepConfig); 4] = [
         (
             "2-step (paper: full lexicographic)",
             TwoStepConfig::default(),
@@ -31,6 +33,13 @@ pub fn ablate(harness: &Harness) -> ExperimentResult {
             "no homogeneous size buckets",
             TwoStepConfig {
                 skip_size_grouping: true,
+                ..TwoStepConfig::default()
+            },
+        ),
+        (
+            "close on first T_best failure (literal Algorithm 2)",
+            TwoStepConfig {
+                closing: GroupClosing::CloseOnBestFailure,
                 ..TwoStepConfig::default()
             },
         ),
@@ -166,11 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn ablation_table_has_three_variants() {
+    fn ablation_table_has_four_variants() {
         let mut cfg = GenerationConfig::small(29, 60);
         cfg.session_trials = 4;
         let h = Harness::from_config(cfg);
         let r = ablate(&h);
-        assert_eq!(r.tables[0].rows.len(), 3);
+        assert_eq!(r.tables[0].rows.len(), 4);
     }
 }

@@ -73,7 +73,7 @@ fn controller_arm(scenario: &AdversarialScenario, plan: &DeploymentPlan, feedbac
 }
 
 /// Replays one scenario kind on one arm.
-pub fn run_scenario(kind: ScenarioKind, feedback: bool) -> ArmRun {
+fn run_scenario(kind: ScenarioKind, feedback: bool) -> ArmRun {
     let scenario = AdversarialScenario::generate(&ScenarioConfig::small(kind, SEED));
     let plan = day_one_plan(&scenario);
     controller_arm(&scenario, &plan, feedback)

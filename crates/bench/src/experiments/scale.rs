@@ -34,7 +34,7 @@ use thrifty::prelude::*;
 /// Upper bound on the tenant count fed to the grouping comparison.
 const GROUPING_CAP: usize = 5_000;
 /// Replayed horizon: one simulated day.
-pub const HORIZON_MS: u64 = 24 * 3_600_000;
+const HORIZON_MS: u64 = 24 * 3_600_000;
 /// Length of each tenant's single busy burst.
 const BURST_MS: u64 = 30 * 60_000;
 /// Tenants per directly-constructed group (per node-size class).
@@ -46,18 +46,19 @@ const SCALE_TEMPLATE: TemplateId = TemplateId(9_000);
 
 /// Synthesizes `tenants` histories: node sizes cycling `NODE_SIZES`,
 /// one `BURST_MS` busy burst whose phase is a seeded hash of the index.
-/// Runs through [`crate::parallel::par_map`], so it is itself part of the
-/// determinism surface the sweep digests.
+/// Serial: each tenant allocates its own interval `Vec`, so the stage is
+/// allocation-bound and extra threads only contend.
 pub fn synthetic_histories(seed: u64, tenants: usize) -> Vec<TenantHistory> {
-    let idx: Vec<u64> = (0..tenants as u64).collect();
-    crate::parallel::par_map("scale:gen", &idx, |&i| {
-        let nodes = NODE_SIZES[(i % NODE_SIZES.len() as u64) as usize];
-        let start = splitmix64((seed ^ i).wrapping_add(GOLDEN_GAMMA)) % (HORIZON_MS - BURST_MS);
-        TenantHistory::new(
-            Tenant::new(TenantId(i as u32), nodes, 100.0 * f64::from(nodes)),
-            vec![(start, start + BURST_MS)],
-        )
-    })
+    (0..tenants as u64)
+        .map(|i| {
+            let nodes = NODE_SIZES[(i % NODE_SIZES.len() as u64) as usize];
+            let start = splitmix64((seed ^ i).wrapping_add(GOLDEN_GAMMA)) % (HORIZON_MS - BURST_MS);
+            TenantHistory::new(
+                Tenant::new(TenantId(i as u32), nodes, 100.0 * f64::from(nodes)),
+                vec![(start, start + BURST_MS)],
+            )
+        })
+        .collect()
 }
 
 /// Builds a deployment plan directly (no grouping pass): per node-size
@@ -109,6 +110,18 @@ pub fn query_log(
     queries
 }
 
+/// Folds each history's tenant id, node size and intervals into `digest`.
+fn fold_histories(digest: &mut Fnv1a, histories: &[TenantHistory]) {
+    for h in histories {
+        digest.u64(u64::from(h.tenant.id.0));
+        digest.u64(u64::from(h.tenant.nodes));
+        for &(s, e) in &h.intervals {
+            digest.u64(s);
+            digest.u64(e);
+        }
+    }
+}
+
 /// One sweep point's measurements (from a single pipeline run).
 struct PointRun {
     /// History-generation wall time.
@@ -138,14 +151,7 @@ fn run_point(seed: u64, tenants: usize, per_tenant: usize) -> PointRun {
     let gen = t0.elapsed();
 
     let mut digest = Fnv1a::new();
-    for h in &histories {
-        digest.u64(u64::from(h.tenant.id.0));
-        digest.u64(u64::from(h.tenant.nodes));
-        for &(s, e) in &h.intervals {
-            digest.u64(s);
-            digest.u64(e);
-        }
-    }
+    fold_histories(&mut digest, &histories);
 
     // Grouping comparison on the capped subset (Step 2 evaluates every
     // remaining candidate per insertion, so it is quadratic in the bucket
@@ -321,6 +327,13 @@ mod tests {
         assert!(one.grouping_identical && four.grouping_identical);
         assert_eq!(one.queries, 4_000);
         assert_eq!(one.summary.total, 4_000, "every query completes");
+    }
+
+    #[test]
+    fn synthetic_histories_are_pinned() {
+        let mut digest = Fnv1a::new();
+        fold_histories(&mut digest, &synthetic_histories(42, 10_000));
+        assert_eq!(digest.finish(), 0xfb36_2389_19bb_0dbe, "pinned histories");
     }
 
     #[test]

@@ -55,9 +55,6 @@ pub struct Harness {
     scale: Scale,
 }
 
-/// One tenant's consolidated inputs: core tenant + merged busy intervals.
-pub type History = TenantHistory;
-
 impl Harness {
     /// Builds the harness (runs Step 1 of the log generation once).
     pub fn new(seed: u64, scale: Scale) -> Self {
@@ -131,7 +128,7 @@ impl Harness {
         // Per-tenant composition is the pipeline's hot loop; every tenant's
         // intervals derive from its own seeded stream, so the fan-out is
         // order-independent (see crate::parallel's determinism contract).
-        let histories: Vec<History> = crate::parallel::par_map("histories", &specs, |s| {
+        let histories: Vec<TenantHistory> = crate::parallel::par_map("histories", &specs, |s| {
             TenantHistory::new(
                 Tenant::new(s.id, s.nodes, s.data_gb),
                 composer.busy_intervals(s),
@@ -163,7 +160,7 @@ pub struct CorpusView {
     /// Workload-level tenant specs (benchmark flavour, time zone, ...).
     pub specs: Vec<TenantSpec>,
     /// Core-level histories fed to the Deployment Advisor.
-    pub histories: Vec<History>,
+    pub histories: Vec<TenantHistory>,
     /// Horizon of the histories in ms.
     pub horizon_ms: u64,
 }

@@ -618,7 +618,7 @@ impl Reconsolidator {
     /// observations since the previous evaluation against what the plan
     /// predicted — normalized response times vs 1.0, compliance and
     /// per-group RT-TTP vs the advisor's `sla_p`. Clamped to `[0, 1]`.
-    pub fn measure_error(&mut self, service: &ThriftyService) -> f64 {
+    fn measure_error(&mut self, service: &ThriftyService) -> f64 {
         // Counted over every record ever produced: a draining `replay` in
         // between must not hide the ones that arrived since.
         let records = service.records();

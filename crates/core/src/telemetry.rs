@@ -35,8 +35,7 @@
 //!
 //! With [`TelemetryConfig::disabled`] every recording call is a single
 //! branch on [`Telemetry::is_enabled`]; no allocation, no counter update,
-//! no event push. The `sim_engine` bench exercises the cluster without any
-//! core-side telemetry at all.
+//! no event push.
 
 use crate::routing::RouteKind;
 use crate::tenant::TenantId;

@@ -35,12 +35,6 @@ pub fn isolated_latency_ms(template: &QueryTemplate, data_gb: f64, nodes: usize)
     template.cost_ms_per_gb * data_gb * (f + (1.0 - f) / nodes as f64)
 }
 
-/// Speedup of a template on `nodes` nodes relative to a single node, data
-/// size held constant (the y-axis of Figures 1.1a/1.1c).
-pub fn speedup(template: &QueryTemplate, nodes: usize) -> f64 {
-    isolated_latency_ms(template, 1.0, 1) / isolated_latency_ms(template, 1.0, nodes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,6 +46,12 @@ mod tests {
 
     fn nonlinear() -> QueryTemplate {
         QueryTemplate::new(TemplateId(19), 600.0, 0.3)
+    }
+
+    /// Speedup on `nodes` nodes over one node, data size held constant
+    /// (the y-axis of Figures 1.1a/1.1c).
+    fn speedup(template: &QueryTemplate, nodes: usize) -> f64 {
+        isolated_latency_ms(template, 1.0, 1) / isolated_latency_ms(template, 1.0, nodes)
     }
 
     #[test]

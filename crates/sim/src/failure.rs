@@ -3,11 +3,10 @@
 //! Node failure is handled directly by the MPPDB (Chapter 4.4): the instance
 //! stays online at reduced parallelism and Thrifty starts a replacement node.
 //! A [`FailurePlan`] is a declarative schedule of failures that a test or
-//! experiment applies to a [`crate::cluster::Cluster`] up front, keeping
-//! failure scenarios reproducible.
+//! experiment hands to the service up front
+//! (`thrifty::service::ThriftyService::apply_failure_plan`), keeping failure
+//! scenarios reproducible.
 
-use crate::cluster::Cluster;
-use crate::error::SimResult;
 use crate::node::NodeId;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -30,38 +29,16 @@ impl FailurePlan {
         self
     }
 
-    /// Number of scheduled failures.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan schedules no failures.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// The scheduled failures.
     pub fn events(&self) -> &[(NodeId, SimTime)] {
         &self.events
-    }
-
-    /// Registers every scheduled failure with the cluster.
-    ///
-    /// # Errors
-    /// [`SimError::UnknownNode`](crate::error::SimError::UnknownNode) on
-    /// the first event naming a node the cluster does not have.
-    pub fn apply(&self, cluster: &mut Cluster) -> SimResult<()> {
-        for &(node, at) in &self.events {
-            cluster.inject_node_failure(node, at)?;
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterConfig, SimEvent};
+    use crate::cluster::{Cluster, ClusterConfig, SimEvent};
     use crate::query::SimTenantId;
 
     #[test]
@@ -72,9 +49,10 @@ mod tests {
         let plan = FailurePlan::none()
             .fail_at(nodes[0], SimTime::from_secs(10))
             .fail_at(nodes[1], SimTime::from_secs(20));
-        assert_eq!(plan.len(), 2);
-        assert!(!plan.is_empty());
-        plan.apply(&mut c).unwrap();
+        assert_eq!(plan.events().len(), 2);
+        for &(node, at) in plan.events() {
+            c.inject_node_failure(node, at).unwrap();
+        }
         let events = c.run_to_quiescence();
         let failures = events
             .iter()
@@ -83,12 +61,5 @@ mod tests {
         assert_eq!(failures, 2);
         // Two spares existed, so parallelism is fully restored.
         assert_eq!(c.instance(id).unwrap().effective_nodes(), 4);
-    }
-
-    #[test]
-    fn empty_plan_is_a_no_op() {
-        let mut c = Cluster::new(ClusterConfig::with_instant_provisioning(2));
-        FailurePlan::none().apply(&mut c).unwrap();
-        assert!(c.run_to_quiescence().is_empty());
     }
 }

@@ -58,7 +58,7 @@ pub mod time;
 /// Commonly used types, re-exported for glob import.
 pub mod prelude {
     pub use crate::cluster::{Cluster, ClusterConfig, QueryCompletion, SimEvent};
-    pub use crate::cost::{isolated_latency_ms, speedup};
+    pub use crate::cost::isolated_latency_ms;
     pub use crate::error::{SimError, SimResult};
     pub use crate::failure::FailurePlan;
     pub use crate::instance::{InstanceId, InstanceState, InstanceStats, MppdbInstance};

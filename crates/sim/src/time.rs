@@ -57,8 +57,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// One (simulated) day.
-    pub const DAY: SimDuration = SimDuration(86_400_000);
 
     /// Creates a duration of `ms` milliseconds.
     pub const fn from_ms(ms: u64) -> Self {
@@ -177,11 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn duration_constants_are_consistent() {
-        assert_eq!(SimDuration::DAY.as_ms(), 24 * 60 * 60 * 1000);
-    }
-
-    #[test]
     fn float_construction_rounds_and_clamps() {
         assert_eq!(SimDuration::from_secs_f64(1.2345).as_ms(), 1235);
         assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
@@ -195,7 +188,10 @@ mod tests {
         assert_eq!(SimDuration::from_secs(5).to_string(), "5.0s");
         assert_eq!(SimDuration::from_secs(90).to_string(), "1.5min");
         assert_eq!(SimDuration::from_secs(7200).to_string(), "2.00h");
-        assert_eq!((SimDuration::DAY + SimDuration::DAY).to_string(), "2.00d");
+        assert_eq!(
+            (SimDuration::from_secs(86_400) + SimDuration::from_secs(86_400)).to_string(),
+            "2.00d"
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl SessionLibrary {
     /// # Panics
     /// Panics if the pair was not generated (not in
     /// `cfg.parallelism_levels`).
-    pub fn sessions(&self, parallelism: u32, benchmark: Benchmark) -> &[SessionLog] {
+    fn sessions(&self, parallelism: u32, benchmark: Benchmark) -> &[SessionLog] {
         self.sessions
             .get(&(parallelism, benchmark))
             // A missing pair is caller misconfiguration (documented above);

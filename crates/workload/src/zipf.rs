@@ -44,20 +44,6 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Probability of rank `k` (0-based).
-    pub fn probability(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
-    }
-
     /// Samples a 0-based rank.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
@@ -70,10 +56,19 @@ mod tests {
     use super::*;
     use crate::rng::stream_rng;
 
+    /// Probability of rank `k` (0-based), read off the CDF.
+    fn probability(z: &ZipfSampler, k: usize) -> f64 {
+        if k == 0 {
+            z.cdf[0]
+        } else {
+            z.cdf[k] - z.cdf[k - 1]
+        }
+    }
+
     #[test]
     fn probabilities_sum_to_one() {
         let z = ZipfSampler::new(5, 0.8);
-        let total: f64 = (0..5).map(|k| z.probability(k)).sum();
+        let total: f64 = (0..5).map(|k| probability(&z, k)).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
@@ -81,7 +76,7 @@ mod tests {
     fn lower_ranks_are_more_likely() {
         let z = ZipfSampler::new(5, 0.8);
         for k in 1..5 {
-            assert!(z.probability(k) < z.probability(k - 1));
+            assert!(probability(&z, k) < probability(&z, k - 1));
         }
     }
 
@@ -90,8 +85,8 @@ mod tests {
         let near_uniform = ZipfSampler::new(5, 0.01);
         let skewed = ZipfSampler::new(5, 0.99);
         // Ratio of most to least likely rank.
-        let ratio_u = near_uniform.probability(0) / near_uniform.probability(4);
-        let ratio_s = skewed.probability(0) / skewed.probability(4);
+        let ratio_u = probability(&near_uniform, 0) / probability(&near_uniform, 4);
+        let ratio_s = probability(&skewed, 0) / probability(&skewed, 4);
         assert!(ratio_u < 1.1, "near-uniform ratio {ratio_u}");
         assert!(ratio_s > 3.0, "skewed ratio {ratio_s}");
     }
@@ -108,9 +103,9 @@ mod tests {
         for (k, &count) in counts.iter().enumerate() {
             let empirical = count as f64 / n as f64;
             assert!(
-                (empirical - z.probability(k)).abs() < 0.01,
+                (empirical - probability(&z, k)).abs() < 0.01,
                 "rank {k}: empirical {empirical}, expected {}",
-                z.probability(k)
+                probability(&z, k)
             );
         }
     }

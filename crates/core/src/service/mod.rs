@@ -13,6 +13,11 @@
 //! `lifecycle.rs` moves tenants between groups, `tenants.rs` is the one
 //! tenant table (live records and usage meters), and this module keeps the
 //! event loop, query dispatch and the accounting.
+//!
+//! Parts: a large deployment whose groups cannot interact (elastic scaling
+//! off, no trace) is cut at deploy into parts of about 10,000 tenants, and
+//! [`ThriftyService::replay`] runs each part's queries to completion before
+//! the next. Reports list records part by part.
 
 mod group;
 mod lifecycle;
@@ -39,6 +44,11 @@ use mppdb_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tenants::{LiveTenant, Slot, TenantTable};
+
+/// A deployment is cut into parts of at least this many tenants (see
+/// [`ThriftyService::replay`]); a deployment of at most this many is one
+/// part.
+const PART_TENANTS: usize = 10_000;
 
 /// RT-TTP trace sampling (for the Figure 7.7 time-series plots).
 ///
@@ -276,7 +286,10 @@ pub struct TtpSample {
 /// The result of replaying a log through the service.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServiceReport {
-    /// Per-query SLA verdicts, in completion order.
+    /// Per-query SLA verdicts. A one-part service lists them in completion
+    /// order; a service cut into parts (see [`ThriftyService::replay`])
+    /// lists them part by part, each part in completion order, whichever
+    /// path produced them.
     pub records: Vec<SlaRecord>,
     /// Aggregate compliance.
     pub summary: SlaSummary,
@@ -363,6 +376,29 @@ pub struct ThriftyService {
     /// Retired groups whose instances still serve in-flight queries; swept
     /// (decommissioned) once idle.
     retiring: Vec<usize>,
+    /// The first group of every part but the first, ascending; empty for a
+    /// one-part service. Groups created after deploy join the last part.
+    part_starts: Vec<usize>,
+}
+
+/// Cuts a deployment into parts (see [`ThriftyService::replay`]): groups
+/// in plan order, whole groups only, a new part starting once the current
+/// one holds [`PART_TENANTS`] tenants. Only a plan of more than
+/// `PART_TENANTS` tenants with elastic scaling off and no trace is cut.
+fn part_starts(plan: &DeploymentPlan, config: &ServiceConfig) -> Vec<usize> {
+    if config.elastic_scaling || config.trace.is_some() || plan.tenant_count() <= PART_TENANTS {
+        return Vec::new();
+    }
+    let mut starts = Vec::new();
+    let mut held = 0;
+    for (gi, group) in plan.groups.iter().enumerate() {
+        if held >= PART_TENANTS {
+            starts.push(gi);
+            held = 0;
+        }
+        held += group.members.len();
+    }
+    starts
 }
 
 impl ThriftyService {
@@ -385,6 +421,7 @@ impl ThriftyService {
         let offset_ms = deployment.ready_at.as_ms();
 
         let telemetry = Telemetry::new(config.telemetry);
+        let part_starts = part_starts(plan, &config);
         let mut service = ThriftyService {
             cluster,
             config,
@@ -417,6 +454,7 @@ impl ThriftyService {
             deferred_regs: Vec::new(),
             cycles_completed: 0,
             retiring: Vec::new(),
+            part_starts,
         };
         for (group_plan, instances) in plan.groups.iter().zip(deployment.instances.iter()) {
             let members = group_plan.members.clone();
@@ -468,6 +506,23 @@ impl ThriftyService {
     /// the record vectors in memory at once. Use [`Self::records`] or
     /// [`Self::report`] for non-draining access.
     ///
+    /// A query never leaves its tenant's group, so groups interact only
+    /// through the shared node pool. A deployment of more than 10,000
+    /// tenants with elastic scaling off and no trace is therefore cut at
+    /// deploy into *parts* of about 10,000 tenants (whole groups, in plan
+    /// order). When such a service starts the call idle (no event pending,
+    /// nothing in flight, no bulk load, cycle, deferred registration or
+    /// retiring group), with elastic scaling still off and no trace, and
+    /// with a log in submit order whose every query names a live tenant
+    /// and a known template,
+    /// `replay` runs each part's queries to completion before the next,
+    /// every part from the call's start instant. A part touches only its
+    /// own groups, instances and tenant slots, so its events, routing,
+    /// monitors, meters and records are those of the global time-ordered
+    /// loop, which every other call runs (reporting any error at the same
+    /// query). Either way the report lists records part by part (see
+    /// [`ServiceReport::records`]).
+    ///
     /// # Errors
     /// Fails like [`Self::submit`]: a query naming an unknown tenant, or a
     /// simulator/bookkeeping error surfaced while delivering events.
@@ -475,11 +530,110 @@ impl ThriftyService {
     where
         I: IntoIterator<Item = IncomingQuery>,
     {
-        for q in queries {
-            self.submit(q)?;
+        if self.part_starts.is_empty() {
+            for q in queries {
+                self.submit(q)?;
+            }
+        } else {
+            // The parts walk the log once each. Collecting a `Vec` reuses
+            // its buffer, so the log is not copied.
+            let log: Vec<IncomingQuery> = queries.into_iter().collect();
+            if self.part_starts.len() <= usize::from(u8::MAX) {
+                self.replay_log::<u8>(&log)?;
+            } else {
+                self.replay_log::<u16>(&log)?;
+            }
         }
         self.drain()?;
         Ok(self.take_report())
+    }
+
+    /// Replays `log` part by part when [`Self::part_tags`] allows it, and
+    /// through the global loop otherwise.
+    fn replay_log<T>(&mut self, log: &[IncomingQuery]) -> ThriftyResult<()>
+    where
+        T: Copy + Into<usize> + TryFrom<usize>,
+    {
+        let Some(tags) = self.part_tags::<T>(log) else {
+            return log.iter().try_for_each(|&q| self.submit(q));
+        };
+        let start = self.cluster.now();
+        let mut end = start;
+        for part in 0..=self.part_starts.len() {
+            self.cluster.set_idle_clock(start)?;
+            for (&q, _) in log.iter().zip(&tags).filter(|(_, &t)| t.into() == part) {
+                self.submit(q)?;
+            }
+            self.drain()?;
+            end = end.max(self.cluster.now());
+        }
+        // Where the global loop would have left the clock.
+        self.cluster.set_idle_clock(end)?;
+        Ok(())
+    }
+
+    /// Each query's part (one `T` a query), or `None` unless the call can
+    /// take the part path: the service is idle and uncoupled, and the log
+    /// is in submit order with every query naming a live tenant and a
+    /// known template (see [`Self::replay`]).
+    fn part_tags<T: TryFrom<usize>>(&self, log: &[IncomingQuery]) -> Option<Vec<T>> {
+        let uncoupled = self.cluster.peek_next_event_time().is_none()
+            && self.inflight.is_empty()
+            && self.loads.is_empty()
+            && self.recon.is_none()
+            && self.deferred_regs.is_empty()
+            && self.retiring.is_empty()
+            && !self.config.elastic_scaling
+            && self.config.trace.is_none();
+        if !uncoupled || !log.is_sorted_by_key(|q| q.submit) {
+            return None;
+        }
+        log.iter()
+            .map(|q| {
+                let live = self.tenants.get(q.tenant)?;
+                self.templates.get(&q.template)?;
+                T::try_from(self.part_of(live.group)).ok()
+            })
+            .collect()
+    }
+
+    /// The part group `gi` belongs to (0 for a one-part service).
+    fn part_of(&self, gi: usize) -> usize {
+        self.part_starts.partition_point(|&start| start <= gi)
+    }
+
+    /// Puts records from completion order into report order: part by
+    /// part, each part in completion order. In place, through one index a
+    /// record; a no-op when they are in that order already.
+    fn order_by_part(&self, records: &mut [SlaRecord]) {
+        if records.is_sorted_by_key(|r| self.part_of(r.group)) {
+            return;
+        }
+        // Each record's destination: its part's start plus its rank there.
+        let mut next = vec![0; self.part_starts.len() + 1];
+        for r in records.iter() {
+            next[self.part_of(r.group)] += 1;
+        }
+        let mut start = 0;
+        for n in &mut next {
+            (*n, start) = (start, start + *n);
+        }
+        let mut dest: Vec<usize> = records
+            .iter()
+            .map(|r| {
+                let slot = &mut next[self.part_of(r.group)];
+                *slot += 1;
+                *slot - 1
+            })
+            .collect();
+        // Follow each cycle of the permutation; every swap settles one record.
+        for i in 0..records.len() {
+            while dest[i] != i {
+                let j = dest[i];
+                records.swap(i, j);
+                dest.swap(i, j);
+            }
+        }
     }
 
     /// Submits one query at its log time, first delivering every simulator
@@ -591,7 +745,10 @@ impl ThriftyService {
         self.advance_to(SimTime::from_ms(log_time.as_ms() + self.offset_ms))
     }
 
-    /// The SLA records produced so far, in completion order.
+    /// The live completion log: the SLA records not yet drained into a
+    /// report, in the order the service completed them (part by part
+    /// within a part-path [`Self::replay`]). Unlike a report's records
+    /// (see [`ServiceReport::records`]), these are never reordered.
     pub fn records(&self) -> &[SlaRecord] {
         &self.records
     }
@@ -635,9 +792,11 @@ impl ThriftyService {
     /// any state (clones the record vectors; prefer [`Self::into_report`]
     /// or the draining [`Self::replay`] for large logs).
     pub fn report(&self) -> ServiceReport {
+        let mut records = self.records.clone();
+        self.order_by_part(&mut records);
         ServiceReport {
-            records: self.records.clone(),
-            summary: SlaSummary::from_records(&self.records),
+            summary: SlaSummary::from_records(&records),
+            records,
             scaling_events: self.scaling_events.clone(),
             ttp_trace: self.ttp_trace.clone(),
             telemetry: self.telemetry_snapshot(),
@@ -780,7 +939,8 @@ impl ThriftyService {
     /// (a pending scale holds an index into the vector); after
     /// [`Self::drain`] that is the normal state.
     fn take_report(&mut self) -> ServiceReport {
-        let records = std::mem::take(&mut self.records);
+        let mut records = std::mem::take(&mut self.records);
+        self.order_by_part(&mut records);
         self.records_drained += records.len();
         let summary = SlaSummary::from_records(&records);
         let scaling_pending = self.groups.iter().any(|g| g.pending_scale.is_some());

@@ -519,6 +519,23 @@ impl Cluster {
         Ok(())
     }
 
+    /// Sets the clock of an idle cluster (no pending event) to `at`, earlier
+    /// or later than now. A driver that replays independent parts of a
+    /// deployment one after another sets the clock back to the common
+    /// start before each part: with nothing pending, no scheduled work
+    /// can be reordered by the jump.
+    ///
+    /// # Errors
+    /// [`SimError::EventsPending`] while any event is pending; the clock
+    /// is left as it was.
+    pub fn set_idle_clock(&mut self, at: SimTime) -> SimResult<()> {
+        if !self.heap.is_empty() {
+            return Err(SimError::EventsPending);
+        }
+        self.now = at;
+        Ok(())
+    }
+
     /// The instant of the next pending internal event, if any.
     pub fn peek_next_event_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(p)| p.at)
@@ -1351,6 +1368,32 @@ mod tests {
             stats.completed + stats.cancelled,
             "submissions reconcile with completions + cancellations"
         );
+    }
+
+    #[test]
+    fn the_clock_of_an_idle_cluster_can_be_set_back() {
+        let (mut c, id) = ready_cluster(4);
+        c.submit(id, QuerySpec::new(linear_template(), 100.0, SimTenantId(0)))
+            .unwrap();
+        // The completion check is pending: refused, clock unchanged.
+        assert_eq!(
+            c.set_idle_clock(SimTime::from_secs(60)),
+            Err(SimError::EventsPending)
+        );
+        assert_eq!(c.now(), SimTime::ZERO);
+        c.run_to_quiescence();
+        assert_eq!(c.now(), SimTime::from_secs(15));
+        // Idle: set back, and a fresh query runs from the new instant.
+        c.set_idle_clock(SimTime::from_secs(5)).unwrap();
+        assert_eq!(c.now(), SimTime::from_secs(5));
+        c.submit(id, QuerySpec::new(linear_template(), 100.0, SimTenantId(1)))
+            .unwrap();
+        let events = c.run_to_quiescence();
+        assert!(matches!(
+            events[..],
+            [SimEvent::QueryCompleted(q)] if q.finished == SimTime::from_secs(20)
+        ));
+        assert_eq!(c.instance(id).unwrap().stats().completed, 2);
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub enum SimError {
     UnknownQuery(QueryId),
     /// Attempt to schedule an event in the past.
     TimeInPast,
+    /// The operation needs an idle cluster, but an event is still pending.
+    EventsPending,
 }
 
 impl fmt::Display for SimError {
@@ -63,6 +65,7 @@ impl fmt::Display for SimError {
             SimError::UnknownNode(id) => write!(f, "unknown node {id}"),
             SimError::UnknownQuery(id) => write!(f, "unknown query {id}"),
             SimError::TimeInPast => write!(f, "cannot schedule an event in the simulated past"),
+            SimError::EventsPending => write!(f, "the cluster still has a pending event"),
         }
     }
 }

@@ -6,6 +6,7 @@
 //! fixed number of deterministically seeded random cases instead. The
 //! seeds are per-test constants, so failures are exactly reproducible.
 
+use mppdb_sim::hash::Fnv1a;
 use mppdb_sim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -268,4 +269,263 @@ fn monitor_rt_ttp_stays_in_unit_range() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Part-by-part replay: a deployment of more than 10,000 tenants with
+// elastic scaling off is cut into parts, and `replay` runs each part to
+// completion before the next. The oracle is the global time-ordered loop
+// of a `submit` loop plus `into_report`, on an identical deployment.
+
+/// Template of every query in the part scenarios.
+const PART_TEMPLATE: TemplateId = TemplateId(5);
+
+/// A direct-style deployment of `tenants` tenants (10,001–30,000 when
+/// `None`): arbitrary distinct `u32` ids, groups of 1–40 tenants on one or
+/// two MPPDBs of 1, 2 or 4 nodes, and 1–3 queries a tenant on a one-minute
+/// grid over four hours, so many submits share an instant, across parts
+/// and within one group. Returns the plan, the log in submit order and an
+/// id the plan does not hold.
+fn part_scenario(
+    seed: u64,
+    tenants: Option<u32>,
+) -> (DeploymentPlan, Vec<IncomingQuery>, TenantId) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let n = tenants.unwrap_or_else(|| rng.gen_range(10_001u32..=30_000));
+    let salt: u32 = rng.gen();
+    // Multiplying by an odd constant permutes the u32s: distinct ids.
+    let id = |k: u32| TenantId(k.wrapping_mul(0x9E37_79B1) ^ salt);
+    let template = QueryTemplate::new(PART_TEMPLATE, 600.0, 0.0);
+    let (mut groups, mut log, mut next) = (Vec::new(), Vec::new(), 0u32);
+    while next < n {
+        let size = rng.gen_range(1u32..=40).min(n - next);
+        let nodes = [1u32, 2, 4][rng.gen_range(0usize..3)];
+        let members: Vec<Tenant> = (next..next + size)
+            .map(|k| Tenant::new(id(k), nodes, rng.gen_range(1.0..50.0)))
+            .collect();
+        for t in &members {
+            let baseline =
+                SimDuration::from_ms_f64(isolated_latency_ms(&template, t.data_gb, nodes as usize));
+            for _ in 0..rng.gen_range(1u32..=3) {
+                log.push(IncomingQuery {
+                    tenant: t.id,
+                    submit: SimTime::from_ms(rng.gen_range(0u64..240) * 60_000),
+                    template: PART_TEMPLATE,
+                    baseline,
+                });
+            }
+        }
+        groups.push(TenantGroupPlan::new(
+            members,
+            rng.gen_range(1u32..=2),
+            nodes,
+        ));
+        next += size;
+    }
+    log.sort_by_key(|q| q.submit);
+    (DeploymentPlan { groups }, log, id(n))
+}
+
+/// A fresh deployment of `plan`: elastic scaling off, telemetry with no
+/// retained events (their interleaving across parts is not compared).
+fn part_service(plan: &DeploymentPlan) -> ThriftyService {
+    let config = ServiceConfig::builder()
+        .elastic_scaling(false)
+        .telemetry(TelemetryConfig::default().with_event_capacity(0))
+        .build()
+        .unwrap();
+    let template = QueryTemplate::new(PART_TEMPLATE, 600.0, 0.0);
+    ThriftyService::deploy(plan, plan.nodes_used() as usize, [template], config).unwrap()
+}
+
+/// The parts the service cuts `plan` into: group index -> part.
+fn plan_parts(plan: &DeploymentPlan) -> Vec<usize> {
+    let (mut part, mut held) = (0, 0);
+    plan.groups
+        .iter()
+        .map(|g| {
+            if held >= 10_000 {
+                (part, held) = (part + 1, 0);
+            }
+            held += g.members.len();
+            part
+        })
+        .collect()
+}
+
+/// Every field of a record, floats by their bits.
+type RecordKey = (u32, usize, u32, u64, u64, u64, u64, bool, RouteKind);
+
+fn record_key(r: &SlaRecord) -> RecordKey {
+    (
+        r.tenant.0,
+        r.group,
+        r.template.0,
+        r.submit.as_ms(),
+        r.achieved.as_ms(),
+        r.baseline.as_ms(),
+        r.normalized.to_bits(),
+        r.met,
+        r.route,
+    )
+}
+
+/// What a replay leaves behind: the report's records in order, its
+/// summary and telemetry, and, read from the service, every invoice, the
+/// observed activity ratios and the log clock.
+#[derive(Debug, PartialEq)]
+struct PartOutcome {
+    records: Vec<RecordKey>,
+    summary: String,
+    telemetry: TelemetrySnapshot,
+    invoices: String,
+    ratios: Vec<(TenantId, f64)>,
+    log_now: SimTime,
+}
+
+/// The service-side reads of [`PartOutcome`], before `into_report`
+/// consumes the service.
+fn service_reads(s: &ThriftyService) -> (String, Vec<(TenantId, f64)>, SimTime) {
+    let tariff = Tariff::default();
+    let invoices: Vec<Invoice> = s
+        .live_tenants()
+        .into_iter()
+        .map(|t| s.invoice(t, &tariff, 30.0).unwrap())
+        .collect();
+    (
+        format!("{invoices:?}"),
+        s.observed_activity_ratios(),
+        s.log_now(),
+    )
+}
+
+fn outcome(report: &ServiceReport, reads: (String, Vec<(TenantId, f64)>, SimTime)) -> PartOutcome {
+    let (invoices, ratios, log_now) = reads;
+    PartOutcome {
+        records: report.records.iter().map(record_key).collect(),
+        summary: format!("{:?}", report.summary),
+        telemetry: report.telemetry.clone(),
+        invoices,
+        ratios,
+        log_now,
+    }
+}
+
+/// `replay` on one deployment of `plan`, and a `submit` loop plus
+/// `into_report` on another, after `prepare` ran on each.
+fn replay_and_oracle(
+    plan: &DeploymentPlan,
+    log: &[IncomingQuery],
+    prepare: impl Fn(&mut ThriftyService),
+) -> (PartOutcome, PartOutcome) {
+    let mut s = part_service(plan);
+    prepare(&mut s);
+    let report = s.replay(log.to_vec()).unwrap();
+    let replayed = outcome(&report, service_reads(&s));
+    let mut oracle = part_service(plan);
+    prepare(&mut oracle);
+    for &q in log {
+        oracle.submit(q).unwrap();
+    }
+    oracle.drain().unwrap();
+    let reads = service_reads(&oracle);
+    (replayed, outcome(&oracle.into_report().unwrap(), reads))
+}
+
+/// Asserts two outcomes equal field by field, naming the first that differs.
+fn assert_same(case: &str, a: &PartOutcome, b: &PartOutcome) {
+    assert_eq!(a.records.len(), b.records.len(), "{case}: record count");
+    if let Some(i) = (0..a.records.len()).find(|&i| a.records[i] != b.records[i]) {
+        panic!(
+            "{case}: record {i}: {:?} vs {:?}",
+            a.records[i], b.records[i]
+        );
+    }
+    assert_eq!(a.summary, b.summary, "{case}: summary");
+    assert_eq!(a.telemetry, b.telemetry, "{case}: telemetry");
+    assert_eq!(a.invoices, b.invoices, "{case}: invoices");
+    assert_eq!(a.ratios, b.ratios, "{case}: activity ratios");
+    assert_eq!(a.log_now, b.log_now, "{case}: log clock");
+}
+
+#[test]
+fn part_replay_matches_the_global_loop() {
+    let mut rng = SmallRng::seed_from_u64(0x1009);
+    for case in 0..3 {
+        let (plan, log, _) = part_scenario(rng.gen(), None);
+        let parts = plan_parts(&plan);
+        assert!(parts.last() > Some(&0), "case {case}: more than one part");
+        let (replayed, oracle) = replay_and_oracle(&plan, &log, |_| {});
+        assert_same(&format!("case {case}"), &replayed, &oracle);
+        assert_eq!(replayed.records.len(), log.len(), "case {case}");
+        // Records come part by part.
+        assert!(
+            replayed.records.is_sorted_by_key(|r| parts[r.1]),
+            "case {case}"
+        );
+    }
+}
+
+#[test]
+fn part_replay_falls_back_to_the_global_loop() {
+    let (plan, log, unknown) = part_scenario(0x100a, Some(10_500));
+
+    // An unsorted log: the latest query first.
+    let mut unsorted = log.clone();
+    unsorted.rotate_right(1);
+    let (replayed, oracle) = replay_and_oracle(&plan, &unsorted, |_| {});
+    assert_same("unsorted", &replayed, &oracle);
+
+    // A scheduled node failure keeps an event pending.
+    let fail = |s: &mut ThriftyService| {
+        s.inject_node_failure(NodeId(0), SimTime::from_ms(90 * 60_000))
+            .unwrap()
+    };
+    let (replayed, oracle) = replay_and_oracle(&plan, &log, fail);
+    assert_same("node failure", &replayed, &oracle);
+    assert_eq!(replayed.telemetry.counter("nodes.failed"), 1);
+
+    // An unknown tenant: the same error, after the same queries.
+    let mut bad = log.clone();
+    let at = bad.len() / 2;
+    bad.insert(
+        at,
+        IncomingQuery {
+            tenant: unknown,
+            ..bad[at]
+        },
+    );
+    let mut s = part_service(&plan);
+    let err = s.replay(bad.clone()).unwrap_err();
+    let mut oracle = part_service(&plan);
+    let oracle_err = bad.iter().try_for_each(|&q| oracle.submit(q)).unwrap_err();
+    assert_eq!(err, ThriftyError::UnknownTenant(unknown));
+    assert_eq!(err, oracle_err);
+    let live: Vec<RecordKey> = s.records().iter().map(record_key).collect();
+    let oracle_live: Vec<RecordKey> = oracle.records().iter().map(record_key).collect();
+    assert_eq!(live, oracle_live, "the live log up to the error");
+    assert_eq!(s.telemetry_snapshot(), oracle.telemetry_snapshot());
+    assert_eq!(s.log_now(), oracle.log_now());
+}
+
+#[test]
+fn part_replay_sorted_records_are_pinned() {
+    let (plan, log, _) = part_scenario(0x100b, Some(20_000));
+    let report = part_service(&plan).replay(log).unwrap();
+    let mut records: Vec<RecordKey> = report.records.iter().map(record_key).collect();
+    records.sort_unstable_by_key(|r| (r.0, r.3, r.4));
+    let mut digest = Fnv1a::new();
+    for r in &records {
+        digest.u64(u64::from(r.0));
+        digest.u64(r.3);
+        digest.u64(r.4);
+        digest.u64(r.6);
+        digest.u64(u64::from(r.7));
+    }
+    // The global loop's value, from before replay was cut into parts.
+    assert_eq!(
+        digest.finish(),
+        0x71a7_08d7_bfcf_d425,
+        "pinned sorted-record digest"
+    );
 }

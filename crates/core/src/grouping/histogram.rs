@@ -21,8 +21,9 @@
 //!
 //! Either way the evaluation is incremental: a dense recomputation would
 //! cost `O(d)` per candidate (26 million epochs at the finest setting of
-//! Figure 7.1). The `ttp_evaluation` group of the `grouping` bench
-//! quantifies the gap.
+//! Figure 7.1). That gap is untimed;
+//! `histogram_ttp_matches_dense_recomputation` (`tests/properties.rs`)
+//! checks that both give the same TTP.
 
 use crate::activity::ActivityVector;
 

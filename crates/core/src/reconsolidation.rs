@@ -219,7 +219,7 @@ impl Default for ControllerConfig {
 }
 
 /// A churn-bounded plan plus what the bounds held back.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 struct BoundedPlan {
     /// The plan after hysteresis and the build cap.
     plan: CyclePlan,
@@ -453,22 +453,6 @@ impl Reconsolidator {
     fn bound_plan(&mut self, service: &ThriftyService, full: CyclePlan) -> BoundedPlan {
         let k = self.controller.hysteresis_cycles;
         let cap = self.controller.max_builds_per_cycle;
-        if full.is_noop() {
-            // Every tenant fits its serving group: all streaks end.
-            self.misfit.clear();
-            return BoundedPlan {
-                plan: full,
-                ..BoundedPlan::default()
-            };
-        }
-        if k <= 1 && cap == usize::MAX {
-            // Unbounded mode tracks no streaks.
-            self.misfit.clear();
-            return BoundedPlan {
-                plan: full,
-                ..BoundedPlan::default()
-            };
-        }
 
         // Update the streaks: tenants the plan keeps in place stop
         // misfitting; tenants in builds extend their streak only while

@@ -512,10 +512,10 @@ impl ThriftyService {
     /// deploy into *parts* of about 10,000 tenants (whole groups, in plan
     /// order). When such a service starts the call idle (no event pending,
     /// nothing in flight, no bulk load, cycle, deferred registration or
-    /// retiring group), with elastic scaling still off and no trace, and
-    /// with a log in submit order whose every query names a live tenant
-    /// and a known template,
-    /// `replay` runs each part's queries to completion before the next,
+    /// retiring group), with elastic scaling still off (a reload may turn
+    /// it on; the trace cannot change after deploy), and with a log in
+    /// submit order whose every query names a live tenant and a known
+    /// template, `replay` runs each part's queries to completion before the next,
     /// every part from the call's start instant. A part touches only its
     /// own groups, instances and tenant slots, so its events, routing,
     /// monitors, meters and records are those of the global time-ordered
@@ -583,8 +583,7 @@ impl ThriftyService {
             && self.recon.is_none()
             && self.deferred_regs.is_empty()
             && self.retiring.is_empty()
-            && !self.config.elastic_scaling
-            && self.config.trace.is_none();
+            && !self.config.elastic_scaling;
         if !uncoupled || !log.is_sorted_by_key(|q| q.submit) {
             return None;
         }

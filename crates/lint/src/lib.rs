@@ -39,19 +39,21 @@
 //! --format json`, plus the `lint_scale` wall-time guard), and fixture
 //! tests under `crates/lint/fixtures/` that prove each rule fires on
 //! known-bad snippets, stays quiet on clean ones, and honors its allow key.
+//! `thrifty-lint --unused-pub` prints a report-only scan ([`unused_pub`]).
 
 pub mod config;
 pub mod report;
 pub mod rules;
 pub mod tokenizer;
 pub mod tree;
+pub mod unused_pub;
 
 pub use config::{explain, CrateScope, LayeringContract, RULES};
 pub use report::{render_json, render_text, Finding, LintReport};
 
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Lints a set of files as one tree: per-file rules plus the tree-wide
 /// layering, float-order, and allow-audit passes. Paths are used both for
@@ -97,7 +99,7 @@ const SKIP_DIRS: [&str; 5] = ["target", "fixtures", "tests", "benches", "example
 /// tree. Files are visited in sorted order so reports are deterministic.
 pub fn lint_tree(root: &Path) -> io::Result<LintReport> {
     let mut files = Vec::new();
-    collect_rs_files(root, &mut files)?;
+    collect_rs_files(root, &SKIP_DIRS, &mut files)?;
     files.sort();
     let mut sources: Vec<(String, String)> = Vec::new();
     for f in &files {
@@ -107,18 +109,38 @@ pub fn lint_tree(root: &Path) -> io::Result<LintReport> {
         }
         sources.push((display, fs::read_to_string(f)?));
     }
-    let refs: Vec<(&str, &str)> = sources
-        .iter()
-        .map(|(p, s)| (p.as_str(), s.as_str()))
-        .collect();
-    let findings = lint_sources(&refs);
+    let findings = lint_sources(&as_pairs(&sources));
     Ok(LintReport {
-        files_scanned: refs.len(),
+        files_scanned: sources.len(),
         findings,
     })
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
+/// Runs [`unused_pub::scan_unused_pub`] over every `.rs` file under the
+/// workspace root outside `target`, dot-directories and `crates/lint/fixtures/`.
+pub fn unused_pub_tree(root: &Path) -> io::Result<String> {
+    let mut files = Vec::new();
+    collect_rs_files(root, &["target"], &mut files)?;
+    let mut sources = Vec::new();
+    for f in &files {
+        let rel = f.strip_prefix(root).unwrap_or(f);
+        let path = rel.to_string_lossy().replace('\\', "/");
+        if !path.starts_with("crates/lint/fixtures/") {
+            sources.push((path, fs::read_to_string(f)?));
+        }
+    }
+    sources.sort();
+    Ok(unused_pub::scan_unused_pub(&as_pairs(&sources)))
+}
+
+fn as_pairs(sources: &[(String, String)]) -> Vec<(&str, &str)> {
+    sources
+        .iter()
+        .map(|(p, s)| (p.as_str(), s.as_str()))
+        .collect()
+}
+
+fn collect_rs_files(dir: &Path, skip_dirs: &[&str], out: &mut Vec<PathBuf>) -> io::Result<()> {
     if dir.is_file() {
         if dir.extension().map(|e| e == "rs") == Some(true) {
             out.push(dir.to_path_buf());
@@ -131,10 +153,10 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name.starts_with('.') || SKIP_DIRS.contains(&name.as_ref()) {
+            if name.starts_with('.') || skip_dirs.contains(&name.as_ref()) {
                 continue;
             }
-            collect_rs_files(&path, out)?;
+            collect_rs_files(&path, skip_dirs, out)?;
         } else if name.ends_with(".rs") {
             out.push(path);
         }
@@ -212,6 +234,8 @@ mod tests {
 
         let unwrap = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
         assert_eq!(lint_source("crates/sim/src/x.rs", unwrap).len(), 1);
+        let tuple_unwrap = "fn f(x: (Option<u32>,)) -> u32 { x.0.unwrap() }\n";
+        assert_eq!(lint_source("crates/sim/src/x.rs", tuple_unwrap).len(), 1);
         // PR 7 extends the no-panic posture into the workload crate.
         assert_eq!(lint_source("crates/workload/src/x.rs", unwrap).len(), 1);
         assert!(lint_source("crates/bench/src/x.rs", unwrap).is_empty());

@@ -5,15 +5,17 @@
 //! cargo run -p thrifty-lint -- crates                # human-readable
 //! cargo run -p thrifty-lint -- crates --format json  # machine-readable
 //! cargo run -p thrifty-lint -- --explain L7          # rule rationale
+//! cargo run -p thrifty-lint -- --unused-pub .        # unused-`pub` report
 //! ```
 //!
 //! Exit status: 0 = clean, 1 = findings, 2 = usage or I/O error.
 //! `--explain` takes a rule id (`L7`) or its allow key (`float-merge`)
-//! and prints the rule's rationale and escape hatch.
+//! and prints the rule's rationale and escape hatch. `--unused-pub`
+//! prints [`thrifty_lint::unused_pub`]'s report and exits 0 on any report.
 
 use std::path::Path;
 use std::process::ExitCode;
-use thrifty_lint::{explain, lint_tree, render_json, render_text, LintReport};
+use thrifty_lint::{explain, lint_tree, render_json, render_text, unused_pub_tree, LintReport};
 
 fn main() -> ExitCode {
     let mut format = Format::Text;
@@ -49,9 +51,22 @@ fn main() -> ExitCode {
                     }
                 };
             }
+            "--unused-pub" => {
+                let root = args.next().unwrap_or_else(|| ".".to_string());
+                return match unused_pub_tree(Path::new(&root)) {
+                    Ok(text) => {
+                        print!("{text}");
+                        ExitCode::SUCCESS
+                    }
+                    Err(e) => {
+                        eprintln!("thrifty-lint: cannot scan {root}: {e}");
+                        ExitCode::from(2)
+                    }
+                };
+            }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: thrifty-lint [PATH ...] [--format text|json]\n       thrifty-lint --explain <rule>"
+                    "usage: thrifty-lint [PATH ...] [--format text|json]\n       thrifty-lint --explain <rule>\n       thrifty-lint --unused-pub [ROOT]"
                 );
                 return ExitCode::SUCCESS;
             }

@@ -292,8 +292,10 @@ pub fn lex(source: &str) -> Lexed {
             while i < chars.len()
                 && (chars[i].is_alphanumeric() || chars[i] == '_' || chars[i] == '.')
             {
-                // Stop at `..` range punctuation.
-                if chars[i] == '.' && chars.get(i + 1) == Some(&'.') {
+                // A `.` continues the literal only before a digit: not at
+                // `..` range punctuation, nor at a method or field access
+                // after a tuple index (`self.0.kill()`).
+                if chars[i] == '.' && !chars.get(i + 1).is_some_and(char::is_ascii_digit) {
                     break;
                 }
                 text.push(chars[i]);
@@ -343,14 +345,16 @@ mod tests {
 
     #[test]
     fn numbers_become_tokens_with_suffixes() {
-        let lexed = lex("let x = 0.5f64 + 1_000 - 0xFF; let r = 0..10;");
+        // A tuple index ends before a method call.
+        let lexed = lex("let x = 0.5f64 + 1_000 - 0xFF; let r = 0..10; p.1.0.kill()");
         let nums: Vec<&str> = lexed
             .tokens
             .iter()
             .filter(|t| t.kind == TokKind::Number)
             .map(|t| t.text.as_str())
             .collect();
-        assert_eq!(nums, vec!["0.5f64", "1_000", "0xFF", "0", "10"]);
+        assert_eq!(nums, vec!["0.5f64", "1_000", "0xFF", "0", "10", "1.0"]);
+        assert!(lexed.tokens.iter().any(|t| t.text == "kill"));
         assert!(lexed.tokens[3].is_float_literal());
     }
 

@@ -326,16 +326,17 @@ fn part_scenario(
     (DeploymentPlan { groups }, log, id(n))
 }
 
-/// A fresh deployment of `plan`: elastic scaling off, telemetry with no
-/// retained events (their interleaving across parts is not compared).
-fn part_service(plan: &DeploymentPlan) -> ThriftyService {
+/// A fresh deployment of `plan` plus `spare_nodes` free nodes: elastic scaling
+/// off, telemetry with no retained events (parts interleave them differently).
+fn part_service(plan: &DeploymentPlan, spare_nodes: usize) -> ThriftyService {
     let config = ServiceConfig::builder()
         .elastic_scaling(false)
         .telemetry(TelemetryConfig::default().with_event_capacity(0))
         .build()
         .unwrap();
     let template = QueryTemplate::new(PART_TEMPLATE, 600.0, 0.0);
-    ThriftyService::deploy(plan, plan.nodes_used() as usize, [template], config).unwrap()
+    let nodes = plan.nodes_used() as usize + spare_nodes;
+    ThriftyService::deploy(plan, nodes, [template], config).unwrap()
 }
 
 /// The parts the service cuts `plan` into: group index -> part.
@@ -411,18 +412,19 @@ fn outcome(report: &ServiceReport, reads: (String, Vec<(TenantId, f64)>, SimTime
     }
 }
 
-/// `replay` on one deployment of `plan`, and a `submit` loop plus
-/// `into_report` on another, after `prepare` ran on each.
+/// `replay` on one [`part_service`], and a `submit` loop plus `into_report`
+/// on another, after `prepare` ran on each.
 fn replay_and_oracle(
     plan: &DeploymentPlan,
+    spare_nodes: usize,
     log: &[IncomingQuery],
     prepare: impl Fn(&mut ThriftyService),
 ) -> (PartOutcome, PartOutcome) {
-    let mut s = part_service(plan);
+    let mut s = part_service(plan, spare_nodes);
     prepare(&mut s);
     let report = s.replay(log.to_vec()).unwrap();
     let replayed = outcome(&report, service_reads(&s));
-    let mut oracle = part_service(plan);
+    let mut oracle = part_service(plan, spare_nodes);
     prepare(&mut oracle);
     for &q in log {
         oracle.submit(q).unwrap();
@@ -455,7 +457,7 @@ fn part_replay_matches_the_global_loop() {
         let (plan, log, _) = part_scenario(rng.gen(), None);
         let parts = plan_parts(&plan);
         assert!(parts.last() > Some(&0), "case {case}: more than one part");
-        let (replayed, oracle) = replay_and_oracle(&plan, &log, |_| {});
+        let (replayed, oracle) = replay_and_oracle(&plan, 0, &log, |_| {});
         assert_same(&format!("case {case}"), &replayed, &oracle);
         assert_eq!(replayed.records.len(), log.len(), "case {case}");
         // Records come part by part.
@@ -473,7 +475,7 @@ fn part_replay_falls_back_to_the_global_loop() {
     // An unsorted log: the latest query first.
     let mut unsorted = log.clone();
     unsorted.rotate_right(1);
-    let (replayed, oracle) = replay_and_oracle(&plan, &unsorted, |_| {});
+    let (replayed, oracle) = replay_and_oracle(&plan, 0, &unsorted, |_| {});
     assert_same("unsorted", &replayed, &oracle);
 
     // A scheduled node failure keeps an event pending.
@@ -481,9 +483,19 @@ fn part_replay_falls_back_to_the_global_loop() {
         s.inject_node_failure(NodeId(0), SimTime::from_ms(90 * 60_000))
             .unwrap()
     };
-    let (replayed, oracle) = replay_and_oracle(&plan, &log, fail);
+    let (replayed, oracle) = replay_and_oracle(&plan, 0, &log, fail);
     assert_same("node failure", &replayed, &oracle);
     assert_eq!(replayed.telemetry.counter("nodes.failed"), 1);
+
+    // A reload turns elastic scaling on; spare nodes let scale-outs fire.
+    let reload = |s: &mut ThriftyService| {
+        let mut config = s.config().clone();
+        config.elastic_scaling = true;
+        assert!(s.apply_config(config).unwrap().rejected.is_empty());
+    };
+    let (replayed, oracle) = replay_and_oracle(&plan, 64, &log, reload);
+    assert_same("reload", &replayed, &oracle);
+    assert!(replayed.telemetry.counter("scaling.activated") > 0);
 
     // An unknown tenant: the same error, after the same queries.
     let mut bad = log.clone();
@@ -495,9 +507,9 @@ fn part_replay_falls_back_to_the_global_loop() {
             ..bad[at]
         },
     );
-    let mut s = part_service(&plan);
+    let mut s = part_service(&plan, 0);
     let err = s.replay(bad.clone()).unwrap_err();
-    let mut oracle = part_service(&plan);
+    let mut oracle = part_service(&plan, 0);
     let oracle_err = bad.iter().try_for_each(|&q| oracle.submit(q)).unwrap_err();
     assert_eq!(err, ThriftyError::UnknownTenant(unknown));
     assert_eq!(err, oracle_err);
@@ -511,7 +523,7 @@ fn part_replay_falls_back_to_the_global_loop() {
 #[test]
 fn part_replay_sorted_records_are_pinned() {
     let (plan, log, _) = part_scenario(0x100b, Some(20_000));
-    let report = part_service(&plan).replay(log).unwrap();
+    let report = part_service(&plan, 0).replay(log).unwrap();
     let mut records: Vec<RecordKey> = report.records.iter().map(record_key).collect();
     records.sort_unstable_by_key(|r| (r.0, r.3, r.4));
     let mut digest = Fnv1a::new();

@@ -15,9 +15,10 @@
 //! event loop, query dispatch and the accounting.
 //!
 //! Parts: a large deployment whose groups cannot interact (elastic scaling
-//! off, no trace) is cut at deploy into parts of about 10,000 tenants, and
-//! [`ThriftyService::replay`] runs each part's queries to completion before
-//! the next. Reports list records part by part.
+//! off, no trace) and that retains no telemetry events is cut at deploy
+//! into parts of about 10,000 tenants, and [`ThriftyService::replay`]
+//! runs each part's queries to completion before the next. Reports list
+//! records part by part.
 
 mod group;
 mod lifecycle;
@@ -384,9 +385,15 @@ pub struct ThriftyService {
 /// Cuts a deployment into parts (see [`ThriftyService::replay`]): groups
 /// in plan order, whole groups only, a new part starting once the current
 /// one holds [`PART_TENANTS`] tenants. Only a plan of more than
-/// `PART_TENANTS` tenants with elastic scaling off and no trace is cut.
+/// `PART_TENANTS` tenants with elastic scaling off, no trace and no
+/// retained telemetry events is cut: parts would record events in part
+/// order, under query ids numbered in that order.
 fn part_starts(plan: &DeploymentPlan, config: &ServiceConfig) -> Vec<usize> {
-    if config.elastic_scaling || config.trace.is_some() || plan.tenant_count() <= PART_TENANTS {
+    if config.elastic_scaling
+        || config.trace.is_some()
+        || (config.telemetry.enabled && config.telemetry.event_capacity > 0)
+        || plan.tenant_count() <= PART_TENANTS
+    {
         return Vec::new();
     }
     let mut starts = Vec::new();
@@ -399,6 +406,37 @@ fn part_starts(plan: &DeploymentPlan, config: &ServiceConfig) -> Vec<usize> {
         held += group.members.len();
     }
     starts
+}
+
+/// Orders `items` by bucket in place, keeping their order within a bucket:
+/// `keys` holds each item's bucket, below `buckets`, and is reused for
+/// each item's destination. Returns the run bounds: bucket `b` ends up in
+/// `items[runs[b]..runs[b + 1]]`.
+fn bucket_in_place<T>(items: &mut [T], mut keys: Vec<usize>, buckets: usize) -> Vec<usize> {
+    let mut runs = vec![0; buckets + 1];
+    for &k in &keys {
+        runs[k + 1] += 1;
+    }
+    let mut start = 0;
+    for n in &mut runs {
+        start += *n;
+        *n = start;
+    }
+    // Each item's destination: its bucket's start plus its rank there.
+    let mut next = runs.clone();
+    for k in &mut keys {
+        let slot = &mut next[*k];
+        (*k, *slot) = (*slot, *slot + 1);
+    }
+    // Follow each cycle of the permutation; every swap settles one item.
+    for i in 0..items.len() {
+        while keys[i] != i {
+            let j = keys[i];
+            items.swap(i, j);
+            keys.swap(i, j);
+        }
+    }
+    runs
 }
 
 impl ThriftyService {
@@ -508,16 +546,17 @@ impl ThriftyService {
     ///
     /// A query never leaves its tenant's group, so groups interact only
     /// through the shared node pool. A deployment of more than 10,000
-    /// tenants with elastic scaling off and no trace is therefore cut at
-    /// deploy into *parts* of about 10,000 tenants (whole groups, in plan
-    /// order). When such a service starts the call idle (no event pending,
-    /// nothing in flight, no bulk load, cycle, deferred registration or
-    /// retiring group), with elastic scaling still off (a reload may turn
-    /// it on; the trace cannot change after deploy), and with a log in
+    /// tenants with elastic scaling off, no trace and no retained
+    /// telemetry events is therefore cut at deploy into *parts* of about
+    /// 10,000 tenants (whole groups, in plan order). When such a service
+    /// starts the call idle (no event pending, nothing in flight, no bulk
+    /// load, cycle, deferred registration or retiring group), with elastic
+    /// scaling still off (a reload may turn it on), and with a log in
     /// submit order whose every query names a live tenant and a known
-    /// template, `replay` runs each part's queries to completion before the next,
-    /// every part from the call's start instant. A part touches only its
-    /// own groups, instances and tenant slots, so its events, routing,
+    /// template, `replay` orders the log by part in place (submit order
+    /// within a part) and runs each part's slice to completion before the
+    /// next, every part from the call's start instant. A part touches only
+    /// its own groups, instances and tenant slots, so its events, routing,
     /// monitors, meters and records are those of the global time-ordered
     /// loop, which every other call runs (reporting any error at the same
     /// query). Either way the report lists records part by part (see
@@ -535,48 +574,35 @@ impl ThriftyService {
                 self.submit(q)?;
             }
         } else {
-            // The parts walk the log once each. Collecting a `Vec` reuses
-            // its buffer, so the log is not copied.
-            let log: Vec<IncomingQuery> = queries.into_iter().collect();
-            if self.part_starts.len() <= usize::from(u8::MAX) {
-                self.replay_log::<u8>(&log)?;
+            // Collecting a `Vec` reuses its buffer, so the log is not copied.
+            let mut log: Vec<IncomingQuery> = queries.into_iter().collect();
+            if let Some(parts) = self.part_of_each(&log) {
+                let runs = bucket_in_place(&mut log, parts, self.part_starts.len() + 1);
+                let start = self.cluster.now();
+                let mut end = start;
+                for run in runs.windows(2) {
+                    self.cluster.set_idle_clock(start)?;
+                    for &q in &log[run[0]..run[1]] {
+                        self.submit(q)?;
+                    }
+                    self.drain()?;
+                    end = end.max(self.cluster.now());
+                }
+                // Where the global loop would have left the clock.
+                self.cluster.set_idle_clock(end)?;
             } else {
-                self.replay_log::<u16>(&log)?;
+                log.into_iter().try_for_each(|q| self.submit(q))?;
             }
         }
         self.drain()?;
         Ok(self.take_report())
     }
 
-    /// Replays `log` part by part when [`Self::part_tags`] allows it, and
-    /// through the global loop otherwise.
-    fn replay_log<T>(&mut self, log: &[IncomingQuery]) -> ThriftyResult<()>
-    where
-        T: Copy + Into<usize> + TryFrom<usize>,
-    {
-        let Some(tags) = self.part_tags::<T>(log) else {
-            return log.iter().try_for_each(|&q| self.submit(q));
-        };
-        let start = self.cluster.now();
-        let mut end = start;
-        for part in 0..=self.part_starts.len() {
-            self.cluster.set_idle_clock(start)?;
-            for (&q, _) in log.iter().zip(&tags).filter(|(_, &t)| t.into() == part) {
-                self.submit(q)?;
-            }
-            self.drain()?;
-            end = end.max(self.cluster.now());
-        }
-        // Where the global loop would have left the clock.
-        self.cluster.set_idle_clock(end)?;
-        Ok(())
-    }
-
-    /// Each query's part (one `T` a query), or `None` unless the call can
-    /// take the part path: the service is idle and uncoupled, and the log
-    /// is in submit order with every query naming a live tenant and a
-    /// known template (see [`Self::replay`]).
-    fn part_tags<T: TryFrom<usize>>(&self, log: &[IncomingQuery]) -> Option<Vec<T>> {
+    /// Each query's part, or `None` unless the call can take the part
+    /// path: the service is idle and uncoupled, and the log is in submit
+    /// order with every query naming a live tenant and a known template
+    /// (see [`Self::replay`]).
+    fn part_of_each(&self, log: &[IncomingQuery]) -> Option<Vec<usize>> {
         let uncoupled = self.cluster.peek_next_event_time().is_none()
             && self.inflight.is_empty()
             && self.loads.is_empty()
@@ -591,7 +617,7 @@ impl ThriftyService {
             .map(|q| {
                 let live = self.tenants.get(q.tenant)?;
                 self.templates.get(&q.template)?;
-                T::try_from(self.part_of(live.group)).ok()
+                Some(self.part_of(live.group))
             })
             .collect()
     }
@@ -602,37 +628,14 @@ impl ThriftyService {
     }
 
     /// Puts records from completion order into report order: part by
-    /// part, each part in completion order. In place, through one index a
-    /// record; a no-op when they are in that order already.
+    /// part, each part in completion order. A no-op when they are in that
+    /// order already.
     fn order_by_part(&self, records: &mut [SlaRecord]) {
         if records.is_sorted_by_key(|r| self.part_of(r.group)) {
             return;
         }
-        // Each record's destination: its part's start plus its rank there.
-        let mut next = vec![0; self.part_starts.len() + 1];
-        for r in records.iter() {
-            next[self.part_of(r.group)] += 1;
-        }
-        let mut start = 0;
-        for n in &mut next {
-            (*n, start) = (start, start + *n);
-        }
-        let mut dest: Vec<usize> = records
-            .iter()
-            .map(|r| {
-                let slot = &mut next[self.part_of(r.group)];
-                *slot += 1;
-                *slot - 1
-            })
-            .collect();
-        // Follow each cycle of the permutation; every swap settles one record.
-        for i in 0..records.len() {
-            while dest[i] != i {
-                let j = dest[i];
-                records.swap(i, j);
-                dest.swap(i, j);
-            }
-        }
+        let parts = records.iter().map(|r| self.part_of(r.group)).collect();
+        bucket_in_place(records, parts, self.part_starts.len() + 1);
     }
 
     /// Submits one query at its log time, first delivering every simulator
@@ -1389,6 +1392,39 @@ mod tests {
             }])
             .unwrap_err();
         assert_eq!(err, ThriftyError::UnknownTemplate(TemplateId(77)));
+    }
+
+    #[test]
+    fn bucket_in_place_matches_a_stable_sort() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Items carry their input position, so a lost tie order shows.
+        let check = |case: &str, keys: Vec<usize>, buckets: usize| {
+            let mut items: Vec<(usize, usize)> = keys.iter().copied().zip(0..).collect();
+            let mut oracle = items.clone();
+            oracle.sort_by_key(|&(k, _)| k);
+            let runs = bucket_in_place(&mut items, keys, buckets);
+            assert_eq!(items, oracle, "{case}");
+            let starts: Vec<usize> = (0..=buckets)
+                .map(|b| oracle.partition_point(|&(k, _)| k < b))
+                .collect();
+            assert_eq!(runs, starts, "{case}: run starts");
+        };
+        let mut rng = SmallRng::seed_from_u64(0x0B0C_4E75);
+        check("empty", Vec::new(), 3);
+        check("one bucket", vec![0; 17], 1);
+        let edges: Vec<usize> = (0..200).map(|_| [0, 4][rng.gen_range(0usize..2)]).collect();
+        check("empty middle buckets", edges, 5);
+        let mut grouped: Vec<usize> = (0..200).map(|_| rng.gen_range(0usize..6)).collect();
+        grouped.sort_unstable();
+        check("already grouped", grouped, 6);
+        check("all in the last bucket", vec![3; 50], 4);
+        for case in 0..50 {
+            let buckets = rng.gen_range(1usize..=12);
+            let n = rng.gen_range(0usize..=300);
+            let keys = (0..n).map(|_| rng.gen_range(0..buckets)).collect();
+            check(&format!("random {case}"), keys, buckets);
+        }
     }
 
     #[test]

@@ -466,6 +466,58 @@ fn part_replay_matches_the_global_loop() {
             "case {case}"
         );
     }
+
+    // A middle part with no query: its empty slice still rewinds and drains.
+    let (plan, log, _) = part_scenario(rng.gen(), Some(25_000));
+    let parts = plan_parts(&plan);
+    assert_eq!(parts.last(), Some(&2), "three parts");
+    let middle: std::collections::HashSet<TenantId> = plan
+        .groups
+        .iter()
+        .zip(&parts)
+        .filter(|&(_, &p)| p == 1)
+        .flat_map(|(g, _)| g.members.iter().map(|t| t.id))
+        .collect();
+    let log: Vec<IncomingQuery> = log
+        .into_iter()
+        .filter(|q| !middle.contains(&q.tenant))
+        .collect();
+    let (replayed, oracle) = replay_and_oracle(&plan, 0, &log, |_| {});
+    assert_same("empty middle part", &replayed, &oracle);
+    assert!(replayed.records.iter().all(|r| parts[r.1] != 1));
+}
+
+#[test]
+fn part_replay_keeps_retained_telemetry_events_global() {
+    // Retained events carry query ids and arrive in submission order, so
+    // default telemetry keeps a large deployment one part.
+    let (plan, log, _) = part_scenario(0x100c, Some(10_500));
+    let config = ServiceConfig::builder()
+        .elastic_scaling(false)
+        .build()
+        .unwrap();
+    let deploy = || {
+        let template = QueryTemplate::new(PART_TEMPLATE, 600.0, 0.0);
+        let nodes = plan.nodes_used() as usize;
+        ThriftyService::deploy(&plan, nodes, [template], config.clone()).unwrap()
+    };
+    let replayed = deploy().replay(log.clone()).unwrap();
+    let mut oracle = deploy();
+    for &q in &log {
+        oracle.submit(q).unwrap();
+    }
+    oracle.drain().unwrap();
+    let oracle = oracle.into_report().unwrap();
+    assert!(!replayed.telemetry.events.is_empty());
+    let a = serde_json::to_string(&replayed).unwrap();
+    let b = serde_json::to_string(&oracle).unwrap();
+    let first = a.bytes().zip(b.bytes()).position(|(x, y)| x != y);
+    assert!(
+        a == b,
+        "the serialized reports differ from byte {first:?} (lengths {} and {})",
+        a.len(),
+        b.len()
+    );
 }
 
 #[test]
